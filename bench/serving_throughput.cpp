@@ -1,11 +1,13 @@
-// Serving throughput harness (ISSUE 4 acceptance criterion): micro-batching
-// must pay for its latency cost. Under equal offered load, a session with
-// batch cap >= 8 must sustain >= 2x the requests/s of batch-size-1 dispatch,
-// and batched outputs must be bit-identical to per-request inference.
+// Serving throughput harness: micro-batching must pay for its latency cost.
+// Under equal offered load, one model served with batch cap >= 8 must
+// sustain >= 2x the requests/s of batch-size-1 dispatch, and batched outputs
+// must be bit-identical to per-request inference. Experiments 1 and 3-5
+// serve the model the way every single-model caller does: as the only
+// tenant of a FleetScheduler with one worker.
 //
-// Four experiments:
-//   1. Parity — every image served through a cap-8 padded session matches a
-//      per-request Model::infer on an identically-seeded model, bitwise.
+// Six experiments:
+//   1. Parity — every image served through a cap-8 one-tenant fleet matches
+//      a per-request Model::infer on an identically-seeded model, bitwise.
 //      (Both sides use default §5.5 plans — plan_for() is batch-size
 //      independent, so batching cannot change the arithmetic.)
 //   2. Device-modeled dispatch (the 2x gate) — the served model's conv
@@ -16,7 +18,7 @@
 //      linearly with the cap. Deterministic (sampled-counter model), so it
 //      gates in smoke mode too.
 //   3. Closed loop (host wall clock) — C clients, each with one outstanding
-//      request, drive a cap-1 and a cap-8 session to saturation. On a
+//      request, drive a cap-1 and a cap-8 fleet to saturation. On a
 //      multi-core host batching wins by filling the thread pool; on a
 //      single-core box per-image compute serializes either way and only the
 //      per-dispatch overhead amortizes, so the wall-clock 2x gate applies
@@ -26,15 +28,14 @@
 //      latency, and how admission control + deadline shedding degrade.
 //   5. Mixed-shape traffic (the ragged-batching 3x gate) — arrivals drawn
 //      from a realistic multi-resolution distribution (8px 50%, 6px 20%,
-//      10px 15%, 12px 10%, 16px 5%) are served by the legacy
-//      split-on-mismatch policy (batch-1/2 ping-pong, every dispatch padded
-//      to the cap) and by the indirect policy (one ragged Γ dispatch per
-//      window). The enforced gate is device-modeled and deterministic:
+//      10px 15%, 12px 10%, 16px 5%) are served by the frozen
+//      split-on-mismatch baseline below (batch-1/2 ping-pong, every
+//      dispatch padded to the cap) and by the fleet (one ragged Γ dispatch
+//      per mixed batch). The deterministic gate is device-modeled:
 //      replaying the same arrival sequence through both batching policies,
 //      costed with profile_conv2d, the indirect schedule must be >= 3x
-//      cheaper. Wall-clock closed-loop rps for both policies is reported
-//      too (gated on >= 4 cores, like experiment 3), plus per-image bitwise
-//      parity and the padded-slots == 0 invariant of the indirect path.
+//      cheaper. Wall-clock closed-loop rps for both is gated >= 3x too (on
+//      >= 4 cores, like experiment 3), plus per-image bitwise parity.
 //   6. Multi-tenant fleet — three tenants (weights 4/2/1) share one
 //      FleetScheduler at 2x the measured aggregate capacity. Fairness: each
 //      tenant's completion share must track weight / Σ weights (max relative
@@ -49,13 +50,18 @@
 // Results land in BENCH_serving.json (see --json) as an array with one run
 // record, matching the array-of-runs layout of BENCH_host_hotpath.json.
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdio>
 #include <cstring>
+#include <deque>
+#include <functional>
 #include <future>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -103,17 +109,25 @@ nn::Model make_model() {
   return m;
 }
 
-serve::SessionConfig base_config(std::size_t max_batch) {
-  serve::SessionConfig cfg;
-  cfg.image_h = kImage;
-  cfg.image_w = kImage;
-  cfg.channels = 3;
-  cfg.batch.max_batch = max_batch;
-  cfg.batch.max_wait = 2ms;
-  cfg.batch.idle_wait = 5ms;
-  cfg.queue_capacity = 256;
-  cfg.workers = 1;  // one dispatcher: isolates the batching effect
-  return cfg;
+constexpr const char* kTenant = "model";
+
+/// The served model as the only tenant of a fleet with one worker (one
+/// dispatcher isolates the batching effect).
+std::unique_ptr<serve::FleetScheduler> serve_one(std::size_t max_batch) {
+  serve::FleetConfig fc;
+  fc.workers = 1;
+  fc.max_wait = 2ms;
+  fc.idle_wait = 5ms;
+  auto fleet = std::make_unique<serve::FleetScheduler>(fc);
+  serve::TenantConfig tc;
+  tc.id = kTenant;
+  tc.image_h = kImage;
+  tc.image_w = kImage;
+  tc.channels = 3;
+  tc.max_batch = max_batch;
+  tc.queue_capacity = 256;
+  fleet->add_tenant(make_model(), tc);
+  return fleet;
 }
 
 TensorF random_image(Rng& rng, std::int64_t hw = kImage) {
@@ -142,14 +156,13 @@ double percentile(std::vector<double> v, double p) {
 // ---------------------------------------------------------------------------
 // Experiment 1: bitwise parity, batched vs per-request.
 
-bool check_parity(int num_images) {
+/// Serves `images` through a cap-8 one-tenant fleet and checks each output
+/// against a per-image Model::infer at its own shape, bitwise.
+bool check_parity(const std::vector<TensorF>& images) {
   const nn::Model reference = make_model();
-  serve::ServingSession session(make_model(), base_config(8));
-  Rng rng(5);
-  std::vector<TensorF> images;
+  auto fleet = serve_one(8);
   std::vector<std::future<serve::Response>> futs;
-  for (int i = 0; i < num_images; ++i) images.push_back(random_image(rng));
-  for (const TensorF& img : images) futs.push_back(session.submit(img));
+  for (const TensorF& img : images) futs.push_back(fleet->submit(kTenant, img));
   bool ok = true;
   for (std::size_t i = 0; i < futs.size(); ++i) {
     const serve::Response r = futs[i].get();
@@ -160,8 +173,8 @@ bool check_parity(int num_images) {
                      static_cast<std::size_t>(want.size()) * sizeof(float)) ==
              0;
   }
-  session.stop();
-  return ok && session.stats().all_resolved();
+  fleet->stop();
+  return ok && fleet->stats().all_resolved();
 }
 
 // ---------------------------------------------------------------------------
@@ -207,7 +220,7 @@ double stack_time(std::int64_t hw, std::int64_t n,
 
 /// Modeled requests/s when every dispatch carries `n` images: n over the
 /// summed per-layer kernel times on `dev` (default §5.5 plans, the same
-/// plans the session executes).
+/// plans the served model executes).
 double modeled_dispatch_rps(std::int64_t n, const sim::DeviceProfile& dev) {
   const double total_s = stack_time(kImage, n, dev);
   return total_s > 0.0 ? static_cast<double>(n) / total_s : 0.0;
@@ -221,13 +234,19 @@ struct ClosedLoopResult {
   double p50_us = 0.0;
   double p99_us = 0.0;
   double mean_batch = 0.0;
+  std::int64_t indirect_batches = 0;
+  bool all_resolved = false;
 };
 
+using SubmitFn = std::function<std::future<serve::Response>(TensorF)>;
+
 /// `clients` threads, each keeping exactly one request outstanding — the
-/// classic closed loop, so both sessions see identical offered concurrency.
-ClosedLoopResult run_closed_loop(std::size_t max_batch, int clients,
-                                 int per_client) {
-  serve::ServingSession session(make_model(), base_config(max_batch));
+/// classic closed loop, so every server sees identical offered concurrency.
+/// Image sizes come from `draw_hw` (per-client generator). Fills rps and
+/// the latency percentiles.
+ClosedLoopResult drive_closed_loop(
+    const SubmitFn& submit, int clients, int per_client, unsigned seed,
+    const std::function<std::int64_t(Rng&)>& draw_hw) {
   std::vector<std::vector<double>> latencies(
       static_cast<std::size_t>(clients));
   std::vector<std::thread> threads;
@@ -235,18 +254,18 @@ ClosedLoopResult run_closed_loop(std::size_t max_batch, int clients,
   Timer wall;
   for (int c = 0; c < clients; ++c) {
     threads.emplace_back([&, c] {
-      Rng rng(static_cast<unsigned>(100 + c));
+      Rng rng(seed + static_cast<unsigned>(c));
       auto& mine = latencies[static_cast<std::size_t>(c)];
       mine.reserve(static_cast<std::size_t>(per_client));
       for (int i = 0; i < per_client; ++i) {
-        const serve::Response r = session.submit(random_image(rng)).get();
+        const std::int64_t hw = draw_hw(rng);
+        const serve::Response r = submit(random_image(rng, hw)).get();
         if (r.ok()) mine.push_back(r.latency_us);
       }
     });
   }
   for (auto& t : threads) t.join();
   const double secs = wall.seconds();
-  session.stop();
 
   std::vector<double> all;
   for (auto& v : latencies) all.insert(all.end(), v.begin(), v.end());
@@ -254,12 +273,28 @@ ClosedLoopResult run_closed_loop(std::size_t max_batch, int clients,
   res.rps = static_cast<double>(all.size()) / secs;
   res.p50_us = percentile(all, 0.50);
   res.p99_us = percentile(all, 0.99);
-  const auto stats = session.stats();
+  return res;
+}
+
+/// Closed loop through a one-tenant fleet at batch cap `max_batch`.
+ClosedLoopResult run_closed_loop(
+    std::size_t max_batch, int clients, int per_client, unsigned seed,
+    const std::function<std::int64_t(Rng&)>& draw_hw) {
+  auto fleet = serve_one(max_batch);
+  ClosedLoopResult res = drive_closed_loop(
+      [&](TensorF img) { return fleet->submit(kTenant, std::move(img)); },
+      clients, per_client, seed, draw_hw);
+  fleet->stop();
+  const serve::FleetScheduler::TenantStats stats = fleet->stats().total;
   res.mean_batch = stats.batches > 0 ? static_cast<double>(stats.completed) /
                                            static_cast<double>(stats.batches)
                                      : 0.0;
+  res.indirect_batches = stats.indirect_batches;
+  res.all_resolved = stats.all_resolved();
   return res;
 }
+
+std::int64_t fixed_size(Rng&) { return kImage; }
 
 // ---------------------------------------------------------------------------
 // Experiment 4: open-loop offered load.
@@ -278,7 +313,7 @@ struct OpenLoopResult {
 /// `duration`; overload shows up as rejections/expiries, not client stall.
 OpenLoopResult run_open_loop(double offered_rps, std::chrono::milliseconds
                                                      duration) {
-  serve::ServingSession session(make_model(), base_config(8));
+  auto fleet = serve_one(8);
   const auto interval = std::chrono::duration_cast<serve::Clock::duration>(
       std::chrono::duration<double>(1.0 / offered_rps));
   const int total = static_cast<int>(
@@ -290,8 +325,8 @@ OpenLoopResult run_open_loop(double offered_rps, std::chrono::milliseconds
   Timer wall;
   auto next = serve::Clock::now();
   for (int i = 0; i < total; ++i) {
-    futs.push_back(
-        session.submit(random_image(rng), serve::Deadline::after(100ms)));
+    futs.push_back(fleet->submit(kTenant, random_image(rng),
+                                 serve::Deadline::after(100ms)));
     next += interval;
     std::this_thread::sleep_until(next);
   }
@@ -310,7 +345,7 @@ OpenLoopResult run_open_loop(double offered_rps, std::chrono::milliseconds
     }
   }
   const double secs = wall.seconds();
-  session.stop();
+  fleet->stop();
   res.achieved_rps = static_cast<double>(res.completed) / secs;
   res.p50_us = percentile(lat, 0.50);
   res.p99_us = percentile(lat, 0.99);
@@ -337,7 +372,7 @@ std::vector<std::int64_t> mixed_arrival_sequence(int n, unsigned seed = 2024) {
   return seq;
 }
 
-struct MixedModeled {
+struct MixedReplay {
   double split_s = 0.0;
   double indirect_s = 0.0;
   double speedup = 0.0;
@@ -346,7 +381,7 @@ struct MixedModeled {
 };
 
 /// Deterministic replay of one arrival sequence through both batching
-/// policies, costed on the device model. Split (today's shipped behavior):
+/// policies, costed on the device model. Split (the frozen baseline):
 /// the queue is cut at every shape mismatch, each cut padded to the cap —
 /// interleaved traffic degenerates to short runs that still pay full
 /// batch-8 dispatches. Indirect: each window of max_batch consecutive
@@ -354,10 +389,10 @@ struct MixedModeled {
 /// batch's worth of tile rows, so per-image cost is the full-batch
 /// amortized cost of its own shape (that occupancy is exactly what
 /// experiment 2 measures) and no pad slots exist.
-MixedModeled modeled_mixed(const std::vector<std::int64_t>& seq,
+MixedReplay modeled_mixed(const std::vector<std::int64_t>& seq,
                            std::size_t max_batch,
                            const sim::DeviceProfile& dev) {
-  MixedModeled m;
+  MixedReplay m;
   for (std::size_t i = 0; i < seq.size();) {
     std::size_t j = i;
     while (j < seq.size() && seq[j] == seq[i] && j - i < max_batch) ++j;
@@ -378,90 +413,116 @@ MixedModeled modeled_mixed(const std::vector<std::int64_t>& seq,
   return m;
 }
 
-struct MixedLoopResult {
-  double rps = 0.0;
-  double p50_us = 0.0;
-  double p99_us = 0.0;
-  double mean_batch = 0.0;
-  std::int64_t batches = 0;
-  std::int64_t indirect_batches = 0;
-  std::int64_t padded_slots = 0;  ///< serve.padded_slots delta for this run
-  bool all_resolved = false;
+/// Frozen baseline: the retired split-on-mismatch batcher, kept bench-local
+/// (the way host_hotpath keeps its old engines) so the wall-clock ragged
+/// gate keeps measuring against it. One worker waits for a first request,
+/// holds the batch open up to max_wait or until the cap is queued, pops the
+/// longest same-shape prefix of the queue, zero-pads its own batch tensor
+/// to the cap so every dispatch has the tuned geometry, and calls
+/// Model::infer. No deadlines and no admission limit: the closed loop needs
+/// neither.
+class SplitBaseline {
+ public:
+  SplitBaseline(nn::Model model, std::size_t max_batch)
+      : model_(std::move(model)), cap_(max_batch) {
+    TensorF warm({static_cast<std::int64_t>(cap_), kImage, kImage, 3});
+    (void)model_.infer(warm);
+    worker_ = std::thread([this] { loop(); });
+  }
+  ~SplitBaseline() {
+    {
+      std::lock_guard lock(mu_);
+      stop_ = true;
+    }
+    cv_.notify_all();
+    worker_.join();
+  }
+
+  std::future<serve::Response> submit(TensorF image) {
+    serve::Request r;
+    r.input = std::move(image);
+    r.enqueue_time = serve::Clock::now();
+    std::future<serve::Response> fut = r.promise.get_future();
+    {
+      std::lock_guard lock(mu_);
+      q_.push_back(std::move(r));
+    }
+    cv_.notify_one();
+    return fut;
+  }
+
+  std::int64_t batches() const { return batches_.load(); }
+
+ private:
+  void loop() {
+    std::unique_lock lock(mu_);
+    for (;;) {
+      cv_.wait(lock, [&] { return stop_ || !q_.empty(); });
+      if (q_.empty()) return;  // stopping and drained
+      cv_.wait_until(lock, serve::Clock::now() + 2ms,
+                     [&] { return stop_ || q_.size() >= cap_; });
+      std::vector<serve::Request> batch;
+      while (!q_.empty() && batch.size() < cap_ &&
+             (batch.empty() ||
+              batch.front().input.same_shape(q_.front().input))) {
+        batch.push_back(std::move(q_.front()));
+        q_.pop_front();
+      }
+      lock.unlock();
+      run(batch);
+      lock.lock();
+    }
+  }
+
+  void run(std::vector<serve::Request>& batch) {
+    const TensorF& first = batch.front().input;
+    const std::int64_t elems = first.size();
+    TensorF xb({static_cast<std::int64_t>(cap_), first.dim(0), first.dim(1),
+                first.dim(2)});
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      std::memcpy(xb.data() + static_cast<std::int64_t>(i) * elems,
+                  batch[i].input.data(),
+                  static_cast<std::size_t>(elems) * sizeof(float));
+    }
+    const TensorF y = model_.infer(xb);
+    const std::int64_t per = y.size() / y.dim(0);
+    const auto done = serve::Clock::now();
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      serve::Response resp;
+      resp.batch_size = static_cast<std::int64_t>(batch.size());
+      resp.output.reset({1, per});
+      std::memcpy(resp.output.data(),
+                  y.data() + static_cast<std::int64_t>(i) * per,
+                  static_cast<std::size_t>(per) * sizeof(float));
+      resp.latency_us = std::chrono::duration<double, std::micro>(
+                            done - batch[i].enqueue_time)
+                            .count();
+      batch[i].promise.set_value(std::move(resp));
+    }
+    ++batches_;
+  }
+
+  const nn::Model model_;
+  const std::size_t cap_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::deque<serve::Request> q_;
+  bool stop_ = false;
+  std::atomic<std::int64_t> batches_{0};
+  std::thread worker_;
 };
 
-/// Closed loop over mixed-shape traffic: every client draws its image sizes
-/// from the same distribution the modeled replay uses.
-MixedLoopResult run_closed_loop_mixed(serve::MixedMode mode, int clients,
-                                      int per_client) {
-  serve::SessionConfig cfg = base_config(8);
-  cfg.batch.mixed = mode;
-  auto& padded =
-      trace::MetricsRegistry::global().counter("serve.padded_slots");
-  const std::int64_t padded_before = padded.value();
-  serve::ServingSession session(make_model(), cfg);
-  std::vector<std::vector<double>> latencies(
-      static_cast<std::size_t>(clients));
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(clients));
-  Timer wall;
-  for (int c = 0; c < clients; ++c) {
-    threads.emplace_back([&, c] {
-      Rng rng(static_cast<unsigned>(500 + c));
-      auto& mine = latencies[static_cast<std::size_t>(c)];
-      mine.reserve(static_cast<std::size_t>(per_client));
-      for (int i = 0; i < per_client; ++i) {
-        const std::int64_t hw = draw_mixed_size(rng);
-        const serve::Response r =
-            session.submit(random_image(rng, hw)).get();
-        if (r.ok()) mine.push_back(r.latency_us);
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  const double secs = wall.seconds();
-  session.stop();
-
-  std::vector<double> all;
-  for (auto& v : latencies) all.insert(all.end(), v.begin(), v.end());
-  MixedLoopResult res;
-  res.rps = static_cast<double>(all.size()) / secs;
-  res.p50_us = percentile(all, 0.50);
-  res.p99_us = percentile(all, 0.99);
-  const auto stats = session.stats();
-  res.batches = stats.batches;
-  res.indirect_batches = stats.indirect_batches;
-  res.mean_batch = stats.batches > 0 ? static_cast<double>(stats.completed) /
-                                           static_cast<double>(stats.batches)
-                                     : 0.0;
-  res.padded_slots = padded.value() - padded_before;
-  res.all_resolved = stats.all_resolved();
+/// Mixed closed loop through the frozen split baseline.
+ClosedLoopResult run_split_baseline(int clients, int per_client) {
+  SplitBaseline split(make_model(), 8);
+  ClosedLoopResult res = drive_closed_loop(
+      [&](TensorF img) { return split.submit(std::move(img)); }, clients,
+      per_client, 500, draw_mixed_size);
+  const std::int64_t batches = split.batches();
+  res.mean_batch = batches > 0 ? static_cast<double>(clients) * per_client /
+                                     static_cast<double>(batches)
+                               : 0.0;
   return res;
-}
-
-/// Mixed-traffic parity: every image served through an indirect session
-/// must match a per-image Model::infer at its own shape, bitwise.
-bool check_parity_mixed(int num_images) {
-  const nn::Model reference = make_model();
-  serve::ServingSession session(make_model(), base_config(8));
-  Rng rng(55);
-  std::vector<TensorF> images;
-  std::vector<std::future<serve::Response>> futs;
-  for (int i = 0; i < num_images; ++i) {
-    images.push_back(random_image(rng, draw_mixed_size(rng)));
-  }
-  for (const TensorF& img : images) futs.push_back(session.submit(img));
-  bool ok = true;
-  for (std::size_t i = 0; i < futs.size(); ++i) {
-    const serve::Response r = futs[i].get();
-    if (!r.ok()) return false;
-    const TensorF want = infer_single(reference, images[i]);
-    ok = ok && r.output.size() == want.size() &&
-         std::memcmp(r.output.data(), want.data(),
-                     static_cast<std::size_t>(want.size()) * sizeof(float)) ==
-             0;
-  }
-  session.stop();
-  return ok && session.stats().all_resolved();
 }
 
 // ---------------------------------------------------------------------------
@@ -704,7 +765,12 @@ int main(int argc, char** argv) {
   trace::Tracer::global().disable();
 
   // Parity first: a throughput number from a wrong answer is worthless.
-  const bool parity = check_parity(smoke ? 12 : 32);
+  Rng parity_rng(5);
+  std::vector<TensorF> parity_images;
+  for (int i = 0; i < (smoke ? 12 : 32); ++i) {
+    parity_images.push_back(random_image(parity_rng));
+  }
+  const bool parity = check_parity(parity_images);
   std::printf("parity (batched vs per-request, bitwise): %s\n",
               parity ? "identical" : "MISMATCH");
 
@@ -719,8 +785,10 @@ int main(int argc, char** argv) {
 
   const int clients = 16;
   const int per_client = smoke ? 12 : 48;
-  const ClosedLoopResult batch1 = run_closed_loop(1, clients, per_client);
-  const ClosedLoopResult batch8 = run_closed_loop(8, clients, per_client);
+  const ClosedLoopResult batch1 =
+      run_closed_loop(1, clients, per_client, 100, fixed_size);
+  const ClosedLoopResult batch8 =
+      run_closed_loop(8, clients, per_client, 100, fixed_size);
   const double speedup = batch1.rps > 0.0 ? batch8.rps / batch1.rps : 0.0;
   std::printf("closed loop, %d clients:\n", clients);
   std::printf("  cap 1: %8.1f req/s   p50 %7.0f us   p99 %7.0f us   "
@@ -734,7 +802,7 @@ int main(int argc, char** argv) {
   // Mixed-shape traffic: deterministic modeled replay (the 3x gate) plus
   // wall-clock closed loop under both policies.
   const auto arrivals = mixed_arrival_sequence(smoke ? 64 : 512);
-  const MixedModeled mm = modeled_mixed(arrivals, 8, dev);
+  const MixedReplay mm = modeled_mixed(arrivals, 8, dev);
   std::printf("mixed-shape modeled replay (%zu arrivals, 8:50%% 6:20%% "
               "10:15%% 12:10%% 16:5%%):\n",
               arrivals.size());
@@ -743,26 +811,27 @@ int main(int argc, char** argv) {
               "  ragged-batching speedup: %.2fx\n",
               mm.split_s * 1e3, mm.split_dispatches, mm.indirect_s * 1e3,
               mm.indirect_dispatches, mm.speedup);
-  const bool mixed_parity = check_parity_mixed(smoke ? 12 : 32);
+  Rng mixed_rng(55);
+  std::vector<TensorF> mixed_images;
+  for (int i = 0; i < (smoke ? 12 : 32); ++i) {
+    mixed_images.push_back(random_image(mixed_rng, draw_mixed_size(mixed_rng)));
+  }
+  const bool mixed_parity = check_parity(mixed_images);
   std::printf("mixed parity (indirect vs per-request, bitwise): %s\n",
               mixed_parity ? "identical" : "MISMATCH");
   const int mixed_per_client = smoke ? 12 : 48;
-  const MixedLoopResult msplit =
-      run_closed_loop_mixed(serve::MixedMode::kSplit, clients,
-                            mixed_per_client);
-  const MixedLoopResult mind =
-      run_closed_loop_mixed(serve::MixedMode::kIndirect, clients,
-                            mixed_per_client);
+  const ClosedLoopResult msplit =
+      run_split_baseline(clients, mixed_per_client);
+  const ClosedLoopResult mind = run_closed_loop(
+      8, clients, mixed_per_client, 500, draw_mixed_size);
   const double mixed_speedup = msplit.rps > 0.0 ? mind.rps / msplit.rps : 0.0;
   std::printf("mixed closed loop, %d clients:\n", clients);
   std::printf("  split   : %8.1f req/s   p50 %7.0f us   p99 %7.0f us   "
-              "mean batch %.2f   padded %lld\n",
-              msplit.rps, msplit.p50_us, msplit.p99_us, msplit.mean_batch,
-              static_cast<long long>(msplit.padded_slots));
+              "mean batch %.2f   (frozen baseline)\n",
+              msplit.rps, msplit.p50_us, msplit.p99_us, msplit.mean_batch);
   std::printf("  indirect: %8.1f req/s   p50 %7.0f us   p99 %7.0f us   "
-              "mean batch %.2f   padded %lld   indirect batches %lld\n",
+              "mean batch %.2f   indirect batches %lld\n",
               mind.rps, mind.p50_us, mind.p99_us, mind.mean_batch,
-              static_cast<long long>(mind.padded_slots),
               static_cast<long long>(mind.indirect_batches));
   std::printf("  wall-clock speedup: %.2fx\n", mixed_speedup);
 
@@ -862,17 +931,14 @@ int main(int argc, char** argv) {
       std::fprintf(f, "    \"closed_loop\": {\n");
       std::fprintf(f,
                    "      \"split\": {\"rps\": %.1f, \"p50_us\": %.1f, "
-                   "\"p99_us\": %.1f, \"mean_batch\": %.2f, \"padded_slots\""
-                   ": %lld},\n",
+                   "\"p99_us\": %.1f, \"mean_batch\": %.2f},\n",
                    msplit.rps, msplit.p50_us, msplit.p99_us,
-                   msplit.mean_batch,
-                   static_cast<long long>(msplit.padded_slots));
+                   msplit.mean_batch);
       std::fprintf(f,
                    "      \"indirect\": {\"rps\": %.1f, \"p50_us\": %.1f, "
-                   "\"p99_us\": %.1f, \"mean_batch\": %.2f, \"padded_slots\""
-                   ": %lld, \"indirect_batches\": %lld},\n",
+                   "\"p99_us\": %.1f, \"mean_batch\": %.2f, "
+                   "\"indirect_batches\": %lld},\n",
                    mind.rps, mind.p50_us, mind.p99_us, mind.mean_batch,
-                   static_cast<long long>(mind.padded_slots),
                    static_cast<long long>(mind.indirect_batches));
       std::fprintf(f, "      \"speedup\": %.3f\n    }\n  },\n",
                    mixed_speedup);
@@ -957,13 +1023,7 @@ int main(int argc, char** argv) {
                 mm.speedup);
     fail = true;
   }
-  if (mind.padded_slots != 0) {
-    std::printf("FAIL: indirect policy materialized %lld pad slots (must "
-                "be 0)\n",
-                static_cast<long long>(mind.padded_slots));
-    fail = true;
-  }
-  if (!msplit.all_resolved || !mind.all_resolved) {
+  if (!mind.all_resolved) {
     std::printf("FAIL: mixed closed loop leaked unresolved requests\n");
     fail = true;
   }

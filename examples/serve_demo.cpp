@@ -1,9 +1,11 @@
-// Serving demo: a warm ServingSession under concurrent client load.
+// Serving demo: one warm model served by a one-tenant FleetScheduler under
+// concurrent client load.
 //
-// Builds a small Winograd CNN, wraps it in a ServingSession (admission
-// control + micro-batching + deadlines), then fires requests at it from
-// several client threads — most with generous deadlines, some deliberately
-// too tight, plus a burst that overflows the queue to show rejection.
+// Builds a small Winograd CNN, registers it as the only tenant of a fleet
+// (admission control + micro-batching + deadlines), then fires requests at
+// it from several client threads — most with generous deadlines, some
+// deliberately too tight, plus a burst that overflows the queue to show
+// rejection.
 //
 // The demo doubles as the CI serving smoke: it asserts the subsystem's core
 // invariant (every submitted future resolves with exactly one Response) and
@@ -16,10 +18,9 @@
 // exiting nonzero on disagreement.
 //
 // With --mixed the clients interleave four image sizes request-by-request —
-// the head-of-line worst case for the legacy split policy — and the demo
-// additionally asserts that the session's indirect batcher actually
-// coalesced shapes (at least one mixed-shape dispatch, serve.batch.mode.*
-// counters covering every batch).
+// the head-of-line worst case for a batcher that splits on shape — and the
+// demo additionally asserts that the fleet actually coalesced shapes (at
+// least one mixed-shape indirect dispatch).
 //
 // With --fleet the demo instead exercises the multi-tenant FleetScheduler
 // as the CI fleet smoke: three tenants at skewed weights (gold 4 / silver 2
@@ -33,9 +34,10 @@
 // the demo additionally runs the live observability plane for the duration:
 // an obs::AdminServer serving /metrics, /healthz, /readyz, /statusz,
 // /alertz, and /tracez, a Watchdog every worker heartbeats into, and an
-// SloMonitor poller ticking the per-tenant burn-rate windows. In fleet mode
-// the demo scrapes its own /metrics over HTTP at drain and exits nonzero if
-// any tenant's serve_tenant_completed{tenant="..."} series disagrees with
+// SloMonitor poller ticking the per-tenant burn-rate windows; /statusz is
+// the fleet's per-tenant page in both modes. In fleet mode the demo scrapes
+// its own /metrics over HTTP at drain and exits nonzero if any tenant's
+// serve_tenant_completed{tenant="..."} series disagrees with
 // FleetScheduler::stats() — the exposed page must match the scheduler's
 // exact accounting.
 //
@@ -435,7 +437,7 @@ int main(int argc, char** argv) {
   int requests_per_client = 64;
   bool prom = false;
   bool mixed = false;
-  bool fleet = false;
+  bool fleet_mode = false;
   int admin_port = -1;  // < 0: no admin endpoint
   std::string metrics_path;
   if (const char* env = std::getenv("IWG_ADMIN_PORT");
@@ -453,43 +455,43 @@ int main(int argc, char** argv) {
       admin_port = std::atoi(argv[++i]);
     if (std::strcmp(argv[i], "--prom") == 0) prom = true;
     if (std::strcmp(argv[i], "--mixed") == 0) mixed = true;
-    if (std::strcmp(argv[i], "--fleet") == 0) fleet = true;
+    if (std::strcmp(argv[i], "--fleet") == 0) fleet_mode = true;
   }
   if (!metrics_path.empty()) {
     trace::set_report_paths(/*trace_path=*/"", metrics_path);
   }
-  if (fleet) return run_fleet_demo(admin_port);
+  if (fleet_mode) return run_fleet_demo(admin_port);
 
   std::unique_ptr<AdminPlane> plane;
   if (admin_port >= 0) {
     plane = std::make_unique<AdminPlane>(static_cast<std::uint16_t>(admin_port));
   }
 
-  serve::SessionConfig cfg;
-  cfg.image_h = kImage;
-  cfg.image_w = kImage;
-  cfg.channels = 3;
-  cfg.batch.max_batch = 8;
-  cfg.batch.max_wait = 2ms;
-  cfg.queue_capacity = 128;
-  cfg.workers = 2;
-  cfg.flush_period = metrics_path.empty() ? 0us : 200000us;  // periodic flush
-  if (plane != nullptr) cfg.watchdog = &plane->watchdog;
-  serve::ServingSession session(make_model(/*seed=*/42), cfg);
+  serve::FleetConfig fc;
+  fc.workers = 2;
+  fc.max_wait = 2ms;
+  fc.flush_period = metrics_path.empty() ? 0us : 200000us;  // periodic flush
+  if (plane != nullptr) fc.watchdog = &plane->watchdog;
+  serve::FleetScheduler fleet(fc);
+  serve::TenantConfig tc;
+  tc.id = "demo";
+  tc.image_h = kImage;
+  tc.image_w = kImage;
+  tc.channels = 3;
+  tc.max_batch = 8;
+  tc.queue_capacity = 128;
   if (plane != nullptr) {
-    // The session warms in its constructor, so reaching this line IS
-    // readiness; the single-model session has no tenant table to consult.
-    plane->server.set_readyz([] { return true; });
-    plane->server.set_statusz([&session] { return session.statusz_json(); });
-    plane->start({});  // no per-tenant SLO families in session mode
+    plane->server.set_readyz([&fleet] { return fleet.ready(); });
+    plane->server.set_statusz([&fleet] { return fleet.statusz_json(); });
+    plane->start({tc.id});
   }
+  fleet.add_tenant(make_model(/*seed=*/42), tc);
 
   std::printf("serve_demo: %d clients x %d requests%s, batch cap %zu, "
               "%u workers, queue %zu\n",
               clients, requests_per_client,
-              mixed ? " (interleaved mixed shapes)" : "",
-              cfg.batch.max_batch, cfg.workers,
-              static_cast<std::size_t>(cfg.queue_capacity));
+              mixed ? " (interleaved mixed shapes)" : "", tc.max_batch,
+              fc.workers, tc.queue_capacity);
 
   // Client threads: every 8th request gets a deliberately hopeless deadline
   // to exercise shedding; the rest get a comfortable one.
@@ -512,7 +514,7 @@ int main(int argc, char** argv) {
         const serve::Deadline d = (i % 8 == 7)
                                       ? serve::Deadline::after(1us)
                                       : serve::Deadline::after(2s);
-        mine.push_back(session.submit(std::move(img), d));
+        mine.push_back(fleet.submit(tc.id, std::move(img), d));
       }
     });
   }
@@ -540,8 +542,27 @@ int main(int argc, char** argv) {
       }
     }
   }
-  session.stop(/*drain=*/true);
-  const serve::ServingSession::Stats stats = session.stats();
+  bool fail = false;
+  if (plane != nullptr) {
+    // Smoke the live endpoints while the fleet still serves (a stopped
+    // fleet is not ready): the scrape must be a 200 with the synthesized
+    // identity gauge on it, and /statusz the fleet page naming the tenant.
+    const std::string page = http_get(plane->server.port(), "/metrics");
+    const std::string status = http_get(plane->server.port(), "/statusz");
+    if (page.find("iwg_build_info{") == std::string::npos ||
+        status.find("\"" + tc.id + "\":{\"queue_depth\"") ==
+            std::string::npos ||
+        http_get(plane->server.port(), "/healthz").empty() ||
+        http_get(plane->server.port(), "/readyz").empty()) {
+      std::printf("FAIL: admin endpoint smoke "
+                  "(metrics/statusz/healthz/readyz)\n");
+      fail = true;
+    }
+    // Tear the plane down while the fleet it references is still alive.
+    plane.reset();
+  }
+  fleet.stop(/*drain=*/true);
+  const serve::FleetScheduler::TenantStats stats = fleet.stats().total;
 
   const std::int64_t total =
       static_cast<std::int64_t>(clients) * requests_per_client;
@@ -550,7 +571,7 @@ int main(int argc, char** argv) {
               static_cast<long long>(ok), static_cast<long long>(rejected),
               static_cast<long long>(expired),
               static_cast<long long>(shutdown), static_cast<long long>(total));
-  std::printf("session:  accepted %lld  completed %lld  batches %lld "
+  std::printf("fleet:    accepted %lld  completed %lld  batches %lld "
               "(indirect %lld)  mean batch %.2f  mean latency %.0f us\n",
               static_cast<long long>(stats.accepted),
               static_cast<long long>(stats.completed),
@@ -562,7 +583,6 @@ int main(int argc, char** argv) {
                   : 0.0,
               ok > 0 ? latency_sum_us / static_cast<double>(ok) : 0.0);
 
-  bool fail = false;
   if (unresolved != 0) {
     std::printf("FAIL: %lld futures never resolved\n",
                 static_cast<long long>(unresolved));
@@ -573,7 +593,7 @@ int main(int argc, char** argv) {
     fail = true;
   }
   if (!stats.all_resolved()) {
-    std::printf("FAIL: session stats leak requests (accepted %lld != "
+    std::printf("FAIL: fleet stats leak requests (accepted %lld != "
                 "completed %lld + expired %lld + shed %lld)\n",
                 static_cast<long long>(stats.accepted),
                 static_cast<long long>(stats.completed),
@@ -621,24 +641,12 @@ int main(int argc, char** argv) {
         fail = true;
       }
     }
-    std::fputs(session.stats_report().c_str(), stdout);
+    std::fputs(trace::MetricsRegistry::global().prometheus_text().c_str(),
+               stdout);
   }
   if (!metrics_path.empty() && !trace::flush_report()) {
     std::printf("FAIL: metrics flush to %s failed\n", metrics_path.c_str());
     fail = true;
-  }
-  if (plane != nullptr) {
-    // Smoke the live endpoints before teardown: the scrape must be a 200
-    // with the synthesized identity gauge on it.
-    const std::string page = http_get(plane->server.port(), "/metrics");
-    if (page.find("iwg_build_info{") == std::string::npos ||
-        http_get(plane->server.port(), "/healthz").empty() ||
-        http_get(plane->server.port(), "/readyz").empty()) {
-      std::printf("FAIL: admin endpoint smoke (metrics/healthz/readyz)\n");
-      fail = true;
-    }
-    // Tear the plane down while the session it references is still alive.
-    plane.reset();
   }
   std::printf(fail ? "FAIL\n" : "PASS\n");
   return fail ? 1 : 0;

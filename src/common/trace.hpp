@@ -26,7 +26,7 @@
 // while a ContextScope is alive, and chrome_json() emits Perfetto flow
 // events ("s"/"t"/"f") chaining a request's spans across threads — the
 // serving path hands the Context from the client thread through the
-// RequestQueue and Batcher to the worker explicitly, so one request's
+// fleet's tenant queue to the worker explicitly, so one request's
 // enqueue → dispatch → complete renders as arrows in the trace viewer.
 //
 // The metrics registry holds named monotonic counters, reservoir

@@ -131,12 +131,6 @@ TensorF conv2d(const TensorF& x, const TensorF& w, const ConvShape& s,
   return conv2d_gamma_host(x, w, s, plan, cache_ref(opts));
 }
 
-TensorF conv2d_nchw(const TensorF& x_nchw, const TensorF& w,
-                    const ConvShape& s, const ConvOptions& opts) {
-  const TensorF x = nchw_to_nhwc(x_nchw);
-  return nhwc_to_nchw(conv2d(x, w, s, opts));
-}
-
 TensorF deconv2d(const TensorF& dy, const TensorF& w, const ConvShape& s,
                  const ConvOptions& opts) {
   std::optional<trace::Suppress> mute;
@@ -144,12 +138,6 @@ TensorF deconv2d(const TensorF& dy, const TensorF& w, const ConvShape& s,
   // Plan over the *input* width (the deconv output) with the same priorities.
   ConvShape b = GammaKernel::make_backward_shape(s);
   return deconv2d_gamma_host(dy, w, s, plan_for(b, opts), cache_ref(opts));
-}
-
-TensorF deconv2d_nchw(const TensorF& dy_nchw, const TensorF& w,
-                      const ConvShape& s, const ConvOptions& opts) {
-  const TensorF dy = nchw_to_nhwc(dy_nchw);
-  return nhwc_to_nchw(deconv2d(dy, w, s, opts));
 }
 
 namespace {

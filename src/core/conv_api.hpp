@@ -56,17 +56,6 @@ TensorF conv2d(const TensorF& x, const TensorF& w, const ConvShape& s,
 TensorF deconv2d(const TensorF& dy, const TensorF& w, const ConvShape& s,
                  const ConvOptions& opts = {});
 
-/// NCHW entry point (§7: "our implementations can be ported to NCHW and
-/// CHWN formats"): accepts/returns NCHW tensors; the Winograd engine itself
-/// is layout-agnostic at this level, so the port is a view change.
-TensorF conv2d_nchw(const TensorF& x_nchw, const TensorF& w,
-                    const ConvShape& s, const ConvOptions& opts = {});
-
-/// NCHW backward-data / transposed convolution — same view-change approach.
-/// `dy_nchw` is N,OC,OH,OW; the result is N,IC,IH,IW.
-TensorF deconv2d_nchw(const TensorF& dy_nchw, const TensorF& w,
-                      const ConvShape& s, const ConvOptions& opts = {});
-
 /// Functional execution on the SIMT model (Γ kernels + GEMM-tail kernel).
 TensorF conv2d_sim(const TensorF& x, const TensorF& w, const ConvShape& s,
                    const std::vector<Segment>& plan);

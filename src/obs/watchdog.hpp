@@ -1,8 +1,8 @@
 // Watchdog: liveness self-monitoring for the serving worker threads.
 //
-// Every thread that must make forward progress (serving-session workers,
-// fleet dispatch workers) registers a named Heartbeat and beats it once per
-// loop iteration. The beat is the entire hot-path cost: one steady-clock
+// Every thread that must make forward progress (the fleet's dispatch
+// workers) registers a named Heartbeat and beats it once per loop
+// iteration. The beat is the entire hot-path cost: one steady-clock
 // read plus one relaxed atomic store — bench/observability_overhead holds
 // it (together with windowed-snapshot publication) under the same 1%
 // discipline as the rest of the observability layer.

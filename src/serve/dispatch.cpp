@@ -65,12 +65,6 @@ trace::Counter& batches_counter() {
   return c;
 }
 
-trace::Counter& padded_counter() {
-  static trace::Counter& c =
-      trace::MetricsRegistry::global().counter("serve.padded_slots");
-  return c;
-}
-
 trace::Counter& mode_dense_counter() {
   static trace::Counter& c =
       trace::MetricsRegistry::global().counter("serve.batch.mode.dense");
@@ -129,20 +123,15 @@ DispatchResult run_model_batch(const nn::Model& model,
                                const DispatchSpec& spec) {
   IWG_CHECK_MSG(!batch.empty(), "run_model_batch needs a nonempty batch");
   const std::size_t k = batch.size();
+  const std::int64_t n = static_cast<std::int64_t>(k);
   const bool indirect = spec.indirect;
-  const std::int64_t n =
-      !indirect && spec.pad_to > 0
-          ? std::max(spec.pad_to, static_cast<std::int64_t>(k))
-          : static_cast<std::int64_t>(k);
-  const std::int64_t padded = indirect ? 0 : n - static_cast<std::int64_t>(k);
 
   // The batch span (and everything nested under it — the model's conv
   // spans included) inherits the batch leader's context, so the leader's
   // flow chain reaches into the actual compute in the trace view.
   trace::ContextScope lead_scope(batch.front().ctx);
   IWG_TRACE_SPAN(span, "serve.batch", "serve");
-  span.arg("batch_size", static_cast<std::int64_t>(k))
-      .arg("padded_slots", padded)
+  span.arg("batch_size", n)
       .arg("mode", indirect ? "indirect" : "dense")
       .arg("shape_classes", static_cast<std::int64_t>(spec.shape_classes));
   if (!spec.tenant.empty()) span.arg("tenant", spec.tenant);
@@ -159,7 +148,7 @@ DispatchResult run_model_batch(const nn::Model& model,
     for (std::size_t i = 0; i < k; ++i) {
       trace::ContextScope req_scope(batch[i].ctx);
       IWG_TRACE_SPAN(dispatch_span, "serve.dispatch", "serve");
-      dispatch_span.arg("batch_size", static_cast<std::int64_t>(k))
+      dispatch_span.arg("batch_size", n)
           .arg("slot", static_cast<std::int64_t>(i));
       const TensorF& img = batch[i].input;
       xs[i].reset({1, img.dim(0), img.dim(1), img.dim(2)});
@@ -175,7 +164,7 @@ DispatchResult run_model_batch(const nn::Model& model,
     const std::int64_t h = first.dim(0);
     const std::int64_t w = first.dim(1);
     const std::int64_t c = first.dim(2);
-    TensorF xb({n, h, w, c});  // zero-initialized
+    TensorF xb({n, h, w, c});
     const std::int64_t image_elems = h * w * c;
     for (std::size_t i = 0; i < k; ++i) {
       // Per-request dispatch span: marks this request joining the
@@ -183,7 +172,7 @@ DispatchResult run_model_batch(const nn::Model& model,
       // the batch tensor).
       trace::ContextScope req_scope(batch[i].ctx);
       IWG_TRACE_SPAN(dispatch_span, "serve.dispatch", "serve");
-      dispatch_span.arg("batch_size", static_cast<std::int64_t>(k))
+      dispatch_span.arg("batch_size", n)
           .arg("slot", static_cast<std::int64_t>(i));
       std::memcpy(xb.data() + static_cast<std::int64_t>(i) * image_elems,
                   batch[i].input.data(),
@@ -214,7 +203,7 @@ DispatchResult run_model_batch(const nn::Model& model,
     IWG_TRACE_SPAN(complete_span, "serve.complete", "serve");
     Response resp;
     resp.status = Status::kOk;
-    resp.batch_size = static_cast<std::int64_t>(k);
+    resp.batch_size = n;
     resp.queue_us = std::chrono::duration<double, std::micro>(
                         dispatch - batch[i].enqueue_time)
                         .count();
@@ -248,13 +237,11 @@ DispatchResult run_model_batch(const nn::Model& model,
   batches_counter().add();
   (indirect ? mode_indirect_counter() : mode_dense_counter()).add();
   shape_classes_hist().record(static_cast<double>(spec.shape_classes));
-  padded_counter().add(padded);
-  completed_counter().add(static_cast<std::int64_t>(k));
-  if (tm != nullptr) tm->completed.add(static_cast<std::int64_t>(k));
+  completed_counter().add(n);
+  if (tm != nullptr) tm->completed.add(n);
 
   DispatchResult res;
-  res.completed = static_cast<std::int64_t>(k);
-  res.padded_slots = padded;
+  res.completed = n;
   res.indirect = indirect;
   return res;
 }

@@ -1,16 +1,12 @@
-// Shared micro-batch execution for the serving layer.
+// Micro-batch execution for the serving layer.
 //
-// ServingSession (one model, dedicated workers) and FleetScheduler (N
-// tenant models, fleet-level dispatch) assemble batches differently but
-// execute them identically: stage the requests' images, run ONE model
-// dispatch (dense batch tensor or ragged indirect), slice per-request
-// outputs back out, and resolve every promise kOk with queue/latency
-// accounting. run_model_batch is that common core, moved out of
-// ServingSession so the fleet does not duplicate the metrics contract —
-// both paths feed the same serve.* counters and histograms, and batches
-// tagged with a tenant id additionally feed the per-tenant family
-// (serve.tenant.<id>.*, exported with a {tenant="..."} label by
-// MetricsRegistry::prometheus_text()).
+// FleetScheduler assembles batches; run_model_batch executes one: stage the
+// requests' images, run ONE model dispatch (dense batch tensor or ragged
+// indirect), slice per-request outputs back out, and resolve every promise
+// kOk with queue/latency accounting. Every batch feeds the serve.* counters
+// and histograms, and batches tagged with a tenant id additionally feed the
+// per-tenant family (serve.tenant.<id>.*, exported with a {tenant="..."}
+// label by MetricsRegistry::prometheus_text()).
 #pragma once
 
 #include <chrono>
@@ -41,10 +37,10 @@ struct TenantMetrics {
   static TenantMetrics& of(const std::string& tenant_id);
 };
 
-/// The serving loops' report-flush period: `configured` unless
-/// IWG_REPORT_FLUSH_MS is set, which overrides it (0 disables). Both
-/// ServingSession and FleetScheduler resolve their flush_period through
-/// this, so a deployed binary's flush cadence is tunable without a rebuild.
+/// The serving loop's report-flush period: `configured` unless
+/// IWG_REPORT_FLUSH_MS is set, which overrides it (0 disables).
+/// FleetScheduler resolves its flush_period through this, so a deployed
+/// binary's flush cadence is tunable without a rebuild.
 std::chrono::microseconds resolve_flush_period(
     std::chrono::microseconds configured);
 
@@ -53,9 +49,6 @@ struct DispatchSpec {
   /// Mixed shapes: route through Model::infer_ragged (one indirect Γ
   /// dispatch per conv layer). False: one dense batch tensor.
   bool indirect = false;
-  /// Dense only: zero-pad the batch tensor up to this leading dimension so
-  /// dispatch geometry matches pre-tuned plans (0 → dispatch at true size).
-  std::int64_t pad_to = 0;
   /// Distinct H×W×C shapes among the requests (trace/metrics annotation).
   int shape_classes = 1;
   /// When nonempty, also record serve.tenant.<id>.* for this batch.
@@ -63,9 +56,8 @@ struct DispatchSpec {
 };
 
 struct DispatchResult {
-  std::int64_t completed = 0;     ///< requests resolved kOk (= batch size)
-  std::int64_t padded_slots = 0;  ///< zero slots added to the dense tensor
-  bool indirect = false;          ///< executed as a ragged dispatch
+  std::int64_t completed = 0;  ///< requests resolved kOk (= batch size)
+  bool indirect = false;       ///< executed as a ragged dispatch
 };
 
 /// Execute one nonempty micro-batch through `model` and resolve every

@@ -47,15 +47,14 @@ std::int64_t steady_now_us() {
 }
 
 /// Resolve one request on a terminal non-kOk path (reject, shed, shutdown),
-/// emitting the terminal span into its flow chain — the fleet's counterpart
-/// of RequestQueue's admission resolve.
-void resolve_now(Request& r, Status status, const char* reason) {
+/// emitting the terminal span into its flow chain.
+void resolve_now(Request& r, Status status, std::string reason) {
   trace::ContextScope ctx_scope(r.ctx);
   IWG_TRACE_SPAN(span, "serve.reject", "serve");
   span.arg("status", status_name(status));
   Response resp;
   resp.status = status;
-  resp.reason = reason;
+  resp.reason = std::move(reason);
   resp.latency_us = std::chrono::duration<double, std::micro>(
                         Clock::now() - r.enqueue_time)
                         .count();
@@ -71,7 +70,7 @@ int count_shape_classes(const std::vector<Request>& reqs) {
   for (std::size_t i = 0; i < reqs.size(); ++i) {
     bool seen = false;
     for (std::size_t j = 0; j < i && !seen; ++j) {
-      seen = same_image_shape(reqs[i].input, reqs[j].input);
+      seen = reqs[i].input.same_shape(reqs[j].input);
     }
     if (!seen) ++classes;
   }
@@ -124,9 +123,9 @@ std::future<Response> FleetScheduler::submit_impl(
   r.id = next_id_.fetch_add(1, std::memory_order_relaxed);
   r.input = std::move(image);
   r.enqueue_time = Clock::now();
-  // Mint the flight-recorder identity here, exactly as ServingSession does:
-  // the enqueue span runs on the client thread and the Request carries the
-  // context to whichever worker dispatches/completes it.
+  // Mint the flight-recorder identity here: the enqueue span runs on the
+  // client thread and the Request carries the context to whichever worker
+  // dispatches/completes it.
   r.ctx.trace_id = trace::new_trace_id();
   r.ctx.request_id = r.id;
   trace::ContextScope ctx_scope(r.ctx);
@@ -149,6 +148,20 @@ std::future<Response> FleetScheduler::submit_impl(
     st.rejected.fetch_add(1, std::memory_order_relaxed);
     TenantMetrics::of(tenant).rejected.add();
     resolve_now(r, Status::kShutdown, "tenant closed");
+    return fut;
+  }
+  const std::int64_t want_channels = st.tenant->cfg.channels;
+  if (r.input.dim(2) != want_channels) {
+    // Refused here rather than thrown from a worker mid-batch, where the
+    // conv engine's shape check would take down every tenant's traffic.
+    lock.unlock();
+    st.rejected.fetch_add(1, std::memory_order_relaxed);
+    TenantMetrics::of(tenant).rejected.add();
+    rejected_counter().add();
+    resolve_now(r, Status::kRejected,
+                "image has " + std::to_string(r.input.dim(2)) +
+                    " channels, tenant expects " +
+                    std::to_string(want_channels));
     return fut;
   }
   r.deadline = deadline.has_value()
@@ -279,7 +292,6 @@ void FleetScheduler::run_batch(WorkItem& item) {
   DispatchSpec spec;
   spec.indirect = item.shape_classes > 1;
   spec.shape_classes = item.shape_classes;
-  spec.pad_to = 0;  // the fleet never pads; short batches dispatch as-is
   spec.tenant = item.st->tenant->cfg.id;
   DispatchResult res;
   {
@@ -310,8 +322,8 @@ void FleetScheduler::worker_loop(unsigned worker_idx) {
     if (hb != nullptr) hb->beat();
     if (item.exit) return;
     if (item.st == nullptr) {
-      // Idle housekeeping, as in ServingSession: return scratch peaks to
-      // the allocator and keep reports fresh.
+      // Idle housekeeping: return scratch peaks to the allocator and keep
+      // reports fresh.
       if (cfg_.idle_trim_bytes >= 0) {
         const auto keep = static_cast<std::size_t>(cfg_.idle_trim_bytes);
         ScratchArena::local().trim(keep);
@@ -429,10 +441,6 @@ FleetScheduler::Stats FleetScheduler::stats() const {
     s.total.indirect_batches += ts.indirect_batches;
   }
   return s;
-}
-
-std::string FleetScheduler::stats_report() const {
-  return trace::MetricsRegistry::global().prometheus_text();
 }
 
 bool FleetScheduler::ready() const {

@@ -1,12 +1,13 @@
 // FleetScheduler: multi-tenant serving over one shared worker pool.
 //
-// The single-ServingSession design scales one model; the fleet scales N.
-// A ModelRegistry owns the tenant table (model + weight version + priority
-// weight + rate limit + default SLO deadline) and the scheduler replaces
-// per-session worker loops with fleet-level dispatch:
+// The one serving front-end: a single-model deployment is a fleet with one
+// tenant. A ModelRegistry owns the tenant table (model + weight version +
+// priority weight + rate limit + default SLO deadline) and the scheduler
+// runs fleet-level dispatch over one worker pool:
 //
 //   submit(tenant, image)
-//     ─▶ token-bucket admission (kRejected "rate limited" / "queue full")
+//     ─▶ admission (kRejected: channel mismatch / "rate limited" /
+//        "queue full")
 //     ─▶ per-tenant queue, EDF- or FIFO-ordered
 //     ─▶ weighted-fair dequeue across tenants (shared worker threads)
 //     ─▶ run_model_batch under the tenant's shared swap lock
@@ -30,8 +31,9 @@
 //
 // A tenant's batch is "dispatchable" when it has max_batch requests queued,
 // its oldest pending request has waited max_wait, or the tenant is closed
-// (draining). Mixed-shape batches ship as one ragged dispatch, exactly as
-// in ServingSession — the fleet never pads.
+// (draining). The batch is the queue head in order, whatever its shapes: a
+// shape-identical batch ships as one dense batch tensor, a mixed one as ONE
+// ragged indirect dispatch (Model::infer_ragged).
 //
 // Hot swap: ModelRegistry::swap_weights runs under the tenant's exclusive
 // swap lock while dispatch holds it shared — in-flight batches finish on
@@ -112,12 +114,13 @@ class FleetScheduler {
 
   /// Deregister a tenant. Admission closes immediately; drain=true serves
   /// the backlog first, drain=false resolves it kShutdown ("tenant
-  /// deregistered"). Either way every queued + parked future resolves and
+  /// deregistered"). Either way every queued future resolves and
   /// in-flight batches finish (zero drops). Returns false for unknown ids.
   bool remove_tenant(const std::string& id, bool drain = true);
 
   /// Submit one H×W×C image for `tenant` (default overload applies the
-  /// tenant's default_deadline). Unknown tenants resolve kRejected.
+  /// tenant's default_deadline). Unknown tenants, and images whose channel
+  /// count differs from TenantConfig::channels, resolve kRejected.
   std::future<Response> submit(const std::string& tenant, TensorF image);
   std::future<Response> submit(const std::string& tenant, TensorF image,
                                Deadline deadline);
@@ -147,10 +150,6 @@ class FleetScheduler {
     bool all_resolved() const { return total.all_resolved(); }
   };
   Stats stats() const;
-
-  /// Prometheus text exposition of the process registry — including the
-  /// serve.tenant.* families with {tenant="..."} labels.
-  std::string stats_report() const;
 
   /// Readiness, what obs::AdminServer's /readyz gates on: at least one
   /// tenant is registered and the fleet is accepting. Registration warms a
@@ -205,7 +204,7 @@ class FleetScheduler {
   WorkItem next_batch();
   void run_batch(WorkItem& item);
   /// Resolve kExpired for every queued request past its deadline (holding
-  /// the fleet mutex — same discipline as the Batcher's parking lot).
+  /// the fleet mutex).
   void shed_expired_locked(Clock::time_point now);
   void maybe_flush();
   static void accumulate(TenantStats& into, const TenantState& st);

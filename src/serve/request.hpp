@@ -46,9 +46,9 @@ class Deadline {
 /// Terminal state of one request.
 enum class Status : std::uint8_t {
   kOk,        ///< served; `output` holds the model output for this image
-  kRejected,  ///< admission control refused it (queue full)
+  kRejected,  ///< admission refused it (see Response::reason)
   kExpired,   ///< deadline passed before dispatch; shed without running
-  kShutdown,  ///< session stopped before it could run
+  kShutdown,  ///< tenant or fleet stopped before it could run
 };
 
 inline const char* status_name(Status s) {
@@ -80,16 +80,10 @@ struct Request {
   Clock::time_point enqueue_time;
   /// Flight-recorder identity, minted at submit. The request object is the
   /// explicit hand-off across threads: whichever thread touches the request
-  /// next (batcher shed, worker dispatch/complete) restores this context via
+  /// next (expiry shed, worker dispatch/complete) restores this context via
   /// trace::ContextScope so its spans join the request's flow chain.
   trace::Context ctx;
   std::promise<Response> promise;
 };
-
-/// Two requests can share a micro-batch only when their images agree on
-/// every dimension (the batcher splits the queue on the first mismatch).
-inline bool same_image_shape(const TensorF& a, const TensorF& b) {
-  return a.same_shape(b);
-}
 
 }  // namespace iwg::serve

@@ -4,7 +4,6 @@
 
 #include "common/rng.hpp"
 #include "core/conv_api.hpp"
-#include "tensor/layout.hpp"
 #include "reference/direct_conv.hpp"
 #include "tensor/metrics.hpp"
 
@@ -162,31 +161,6 @@ TEST(ConvApi, BackwardShapeRoundTrip) {
   EXPECT_EQ(f.ic, s.ic);
   EXPECT_EQ(f.oc, s.oc);
   EXPECT_EQ(f.ph, s.ph);
-}
-
-TEST(ConvApi, NchwEntryPointMatchesNhwc) {
-  const ConvShape s = shape_3x3(12);
-  const TensorF x = rand_tensor({s.n, s.ih, s.iw, s.ic}, 9);
-  const TensorF w = rand_tensor({s.oc, s.fh, s.fw, s.ic}, 10);
-  const TensorF y_nhwc = conv2d(x, w, s);
-  const TensorF y_nchw = conv2d_nchw(nhwc_to_nchw(x), w, s);
-  const TensorF back = nchw_to_nhwc(y_nchw);
-  for (std::int64_t i = 0; i < y_nhwc.size(); ++i) {
-    EXPECT_EQ(back[i], y_nhwc[i]);
-  }
-}
-
-TEST(ConvApi, DeconvNchwEntryPointMatchesNhwc) {
-  const ConvShape s = shape_3x3(12);
-  const TensorF dy = rand_tensor({s.n, s.oh(), s.ow(), s.oc}, 11);
-  const TensorF w = rand_tensor({s.oc, s.fh, s.fw, s.ic}, 12);
-  const TensorF dx_nhwc = deconv2d(dy, w, s);
-  const TensorF dx_nchw = deconv2d_nchw(nhwc_to_nchw(dy), w, s);
-  const TensorF back = nchw_to_nhwc(dx_nchw);
-  ASSERT_TRUE(back.same_shape(dx_nhwc));
-  for (std::int64_t i = 0; i < dx_nhwc.size(); ++i) {
-    EXPECT_EQ(back[i], dx_nhwc[i]);
-  }
 }
 
 TEST(ConvApi, GflopsWithTransposeGuardsZeroTime) {

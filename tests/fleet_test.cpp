@@ -1,9 +1,9 @@
-// Fleet-subsystem tests: token-bucket admission, ModelRegistry lifecycle,
-// hot weight swap under live traffic (zero drops, monotone versions, no
-// stale filter transforms), weighted-fair dequeue shares, EDF-vs-FIFO
-// intra-tenant ordering, deregistration mid-traffic (every-future-resolves
-// extended to remove_tenant), and batched-vs-single-request bit parity
-// through the fleet dispatch path.
+// Fleet-subsystem tests: admission (token bucket, channel check),
+// ModelRegistry lifecycle, hot weight swap under live traffic (zero drops,
+// monotone versions, no stale filter transforms), weighted-fair dequeue
+// shares, EDF-vs-FIFO intra-tenant ordering, deregistration mid-traffic
+// (every-future-resolves extended to remove_tenant), and batched-vs-single-
+// request bit parity through the fleet dispatch path.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -28,7 +28,7 @@ namespace {
 using namespace std::chrono_literals;
 
 // ---------------------------------------------------------------------------
-// Helpers (mirroring serve_test.cpp)
+// Helpers
 
 /// Tiny conv net with a classifier head; same seed → identical weights.
 /// Fixed 8×8×3 input (Flatten + Linear head).
@@ -225,7 +225,7 @@ TEST(FleetScheduler, ServesTenantsWithBitExactParityAndTenantMetrics) {
   EXPECT_EQ(s.tenants.at("alpha").completed, 12);
   EXPECT_EQ(s.tenants.at("beta").completed, 12);
   // Per-tenant metrics exported with the tenant id as a Prometheus label.
-  const std::string page = fleet.stats_report();
+  const std::string page = trace::MetricsRegistry::global().prometheus_text();
   EXPECT_NE(page.find("serve_tenant_completed{tenant=\"alpha\"}"),
             std::string::npos);
   EXPECT_NE(page.find("serve_tenant_completed{tenant=\"beta\"}"),
@@ -242,6 +242,28 @@ TEST(FleetScheduler, UnknownTenantResolvesRejected) {
   EXPECT_EQ(r.status, Status::kRejected);
   EXPECT_EQ(r.reason, "unknown tenant");
   fleet.stop();
+}
+
+TEST(FleetScheduler, WrongChannelCountResolvesRejectedAndFleetKeepsServing) {
+  // A client-chosen channel count must be refused at admission: reaching a
+  // worker, it would throw inside the conv engine and terminate the process
+  // for every tenant.
+  FleetScheduler fleet(fleet_cfg());
+  fleet.add_tenant(make_tiny_fcn(), tenant_cfg("rgb"));
+  trace::Counter& tenant_rejected = TenantMetrics::of("rgb").rejected;
+  const std::int64_t rejected_before = tenant_rejected.value();
+  Rng rng(3);
+  const Response bad = fleet.submit("rgb", random_image(rng, 8, 8, 5)).get();
+  EXPECT_EQ(bad.status, Status::kRejected);
+  EXPECT_EQ(bad.reason, "image has 5 channels, tenant expects 3");
+  const Response good = fleet.submit("rgb", random_image(rng)).get();
+  EXPECT_EQ(good.status, Status::kOk) << good.reason;
+  fleet.stop();
+  const FleetScheduler::Stats s = fleet.stats();
+  EXPECT_EQ(s.tenants.at("rgb").rejected, 1);
+  EXPECT_EQ(s.tenants.at("rgb").completed, 1);
+  EXPECT_EQ(tenant_rejected.value() - rejected_before, 1);
+  EXPECT_TRUE(s.all_resolved());
 }
 
 TEST(FleetScheduler, AddTenantAfterStopThrows) {

@@ -1,17 +1,19 @@
-// Serving-subsystem tests: admission control, micro-batch assembly edge
-// cases (max-wait expiry, shape splits, deadline shedding), shutdown with
-// in-flight requests, batched-vs-per-request bit parity, and the 8-thread
-// concurrent-inference regression the const Model::infer path guarantees.
+// Single-model serving tests: one model deployed as a one-tenant
+// FleetScheduler. Covers admission control, micro-batch assembly edge cases
+// (max-wait expiry, fill-to-cap, deadline shedding, mixed shapes coalescing
+// into one indirect batch), shutdown with and without drain, batched-vs-
+// per-request bit parity, and the 8-thread concurrent-inference regression
+// the const Model::infer path guarantees.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstring>
 #include <future>
+#include <memory>
 #include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
-#include "common/trace.hpp"
 #include "nn/layers.hpp"
 #include "nn/model.hpp"
 #include "serve/serve.hpp"
@@ -23,16 +25,6 @@ using namespace std::chrono_literals;
 
 // ---------------------------------------------------------------------------
 // Helpers
-
-Request make_request(std::int64_t h, std::int64_t w, std::int64_t c,
-                     float fill = 0.0f, Deadline d = Deadline::never()) {
-  Request r;
-  r.input.reset({h, w, c});
-  r.input.fill(fill);
-  r.deadline = d;
-  r.enqueue_time = Clock::now();
-  return r;
-}
 
 /// Tiny conv net with a classifier head; same seed → identical weights.
 nn::Model make_tiny_classifier(unsigned seed = 7) {
@@ -83,171 +75,114 @@ bool bits_equal(const TensorF& a, const TensorF& b) {
 }
 
 // ---------------------------------------------------------------------------
-// RequestQueue: admission control
+// One model as a one-tenant fleet
 
-TEST(RequestQueue, RejectsWhenFullWithReason) {
-  RequestQueue q(2);
-  auto f1 = [&] { Request r = make_request(4, 4, 3); auto f = r.promise.get_future(); EXPECT_EQ(q.push(std::move(r)), RequestQueue::Admit::kAccepted); return f; }();
-  auto f2 = [&] { Request r = make_request(4, 4, 3); auto f = r.promise.get_future(); EXPECT_EQ(q.push(std::move(r)), RequestQueue::Admit::kAccepted); return f; }();
-  Request r3 = make_request(4, 4, 3);
-  auto f3 = r3.promise.get_future();
-  EXPECT_EQ(q.push(std::move(r3)), RequestQueue::Admit::kRejectedFull);
-  // The rejected promise resolves immediately with a reason.
-  ASSERT_EQ(f3.wait_for(0s), std::future_status::ready);
-  const Response resp = f3.get();
-  EXPECT_EQ(resp.status, Status::kRejected);
-  EXPECT_EQ(resp.reason, "queue full");
-  EXPECT_EQ(q.size(), 2u);
-  q.close();
-  EXPECT_EQ(q.shed_all(), 2u);
-  EXPECT_EQ(f1.get().status, Status::kShutdown);
-  EXPECT_EQ(f2.get().status, Status::kShutdown);
-}
+constexpr const char* kModel = "model";
 
-TEST(RequestQueue, ClosedQueueResolvesShutdown) {
-  RequestQueue q(4);
-  q.close();
-  Request r = make_request(4, 4, 3);
-  auto f = r.promise.get_future();
-  EXPECT_EQ(q.push(std::move(r)), RequestQueue::Admit::kClosed);
-  EXPECT_EQ(f.get().status, Status::kShutdown);
-}
+struct OneTenantConfig {
+  FleetConfig fleet;
+  TenantConfig tenant;
+};
 
-TEST(RequestQueue, PopCompatibleSplitsOnShapeMismatch) {
-  RequestQueue q(8);
-  std::vector<std::future<Response>> futs;
-  auto push = [&](std::int64_t h) {
-    Request r = make_request(h, h, 3);
-    futs.push_back(r.promise.get_future());
-    EXPECT_EQ(q.push(std::move(r)), RequestQueue::Admit::kAccepted);
-  };
-  push(8);
-  push(8);
-  push(16);  // mismatch: splits here
-  push(8);
-  auto b1 = q.pop_compatible(8);
-  ASSERT_EQ(b1.size(), 2u);
-  EXPECT_EQ(b1[0].input.dim(0), 8);
-  auto b2 = q.pop_compatible(8);
-  ASSERT_EQ(b2.size(), 1u);
-  EXPECT_EQ(b2[0].input.dim(0), 16);
-  auto b3 = q.pop_compatible(8);
-  ASSERT_EQ(b3.size(), 1u);
-  EXPECT_EQ(b3[0].input.dim(0), 8);
-  for (auto& b : {&b1, &b2, &b3}) {
-    for (Request& r : *b) r.promise.set_value(Response{});
-  }
-  for (auto& f : futs) f.get();
-}
-
-// ---------------------------------------------------------------------------
-// Batcher
-
-TEST(Batcher, SingleRequestShipsAfterMaxWait) {
-  RequestQueue q(8);
-  BatchPolicy policy;
-  policy.max_batch = 4;
-  policy.max_wait = 20ms;
-  policy.idle_wait = 2s;  // a hang here would mean max-wait never fired
-  Batcher batcher(q, policy);
-
-  Request r = make_request(4, 4, 3);
-  auto f = r.promise.get_future();
-  ASSERT_EQ(q.push(std::move(r)), RequestQueue::Admit::kAccepted);
-
-  const auto t0 = Clock::now();
-  Batcher::Batch b = batcher.next_batch();
-  const auto elapsed = Clock::now() - t0;
-  ASSERT_EQ(b.requests.size(), 1u);
-  EXPECT_FALSE(b.closed);
-  // Shipped via max-wait expiry (not instantly, not via the idle timeout).
-  EXPECT_GE(elapsed, 10ms);
-  EXPECT_LT(elapsed, 1s);
-  b.requests[0].promise.set_value(Response{});
-  f.get();
-}
-
-TEST(Batcher, FillsToMaxBatchWithoutWaitingFullWindow) {
-  RequestQueue q(8);
-  BatchPolicy policy;
-  policy.max_batch = 3;
-  policy.max_wait = 5s;  // a full wait here would time the test out
-  Batcher batcher(q, policy);
-  std::vector<std::future<Response>> futs;
-  for (int i = 0; i < 3; ++i) {
-    Request r = make_request(4, 4, 3);
-    futs.push_back(r.promise.get_future());
-    ASSERT_EQ(q.push(std::move(r)), RequestQueue::Admit::kAccepted);
-  }
-  const auto t0 = Clock::now();
-  Batcher::Batch b = batcher.next_batch();
-  EXPECT_LT(Clock::now() - t0, 2s);  // returned well before max_wait
-  ASSERT_EQ(b.requests.size(), 3u);
-  for (Request& r : b.requests) r.promise.set_value(Response{});
-  for (auto& f : futs) f.get();
-}
-
-TEST(Batcher, ShedsExpiredDeadlinesBeforeDispatch) {
-  RequestQueue q(8);
-  BatchPolicy policy;
-  policy.max_batch = 2;
-  policy.max_wait = 1ms;
-  Batcher batcher(q, policy);
-
-  Request dead = make_request(4, 4, 3, 0.0f, Deadline::after(0us));
-  auto fdead = dead.promise.get_future();
-  Request live = make_request(4, 4, 3);
-  auto flive = live.promise.get_future();
-  std::this_thread::sleep_for(1ms);  // ensure the first deadline has passed
-  ASSERT_EQ(q.push(std::move(dead)), RequestQueue::Admit::kAccepted);
-  ASSERT_EQ(q.push(std::move(live)), RequestQueue::Admit::kAccepted);
-
-  Batcher::Batch b = batcher.next_batch();
-  ASSERT_EQ(b.requests.size(), 1u);
-  EXPECT_EQ(b.expired, 1);
-  const Response dr = fdead.get();
-  EXPECT_EQ(dr.status, Status::kExpired);
-  EXPECT_GT(dr.latency_us, 0.0);
-  b.requests[0].promise.set_value(Response{});
-  flive.get();
-}
-
-TEST(Batcher, ClosedEmptyQueueReportsClosed) {
-  RequestQueue q(8);
-  BatchPolicy policy;
-  policy.idle_wait = 10ms;
-  Batcher batcher(q, policy);
-  q.close();
-  Batcher::Batch b = batcher.next_batch();
-  EXPECT_TRUE(b.closed);
-  EXPECT_TRUE(b.requests.empty());
-}
-
-// ---------------------------------------------------------------------------
-// ServingSession end-to-end
-
-SessionConfig tiny_config() {
-  SessionConfig cfg;
-  cfg.image_h = 8;
-  cfg.image_w = 8;
-  cfg.channels = 3;
-  cfg.batch.max_batch = 4;
-  cfg.batch.max_wait = 2ms;
-  cfg.batch.idle_wait = 5ms;
-  cfg.queue_capacity = 64;
-  cfg.workers = 1;
+OneTenantConfig tiny_config() {
+  OneTenantConfig cfg;
+  cfg.fleet.workers = 1;
+  cfg.fleet.max_wait = 2ms;
+  cfg.fleet.idle_wait = 5ms;
+  cfg.tenant.id = kModel;
+  cfg.tenant.image_h = 8;
+  cfg.tenant.image_w = 8;
+  cfg.tenant.channels = 3;
+  cfg.tenant.max_batch = 4;
+  cfg.tenant.queue_capacity = 64;
   return cfg;
 }
 
-TEST(ServingSession, BatchedOutputsBitIdenticalToPerRequestForward) {
+/// The single-model deployment: a fleet serving `model` as its only tenant.
+std::unique_ptr<FleetScheduler> serve_one(nn::Model model,
+                                          const OneTenantConfig& cfg) {
+  auto fleet = std::make_unique<FleetScheduler>(cfg.fleet);
+  fleet->add_tenant(std::move(model), cfg.tenant);
+  return fleet;
+}
+
+// ---------------------------------------------------------------------------
+// Batch assembly
+
+TEST(SingleModelFleet, SingleRequestShipsAfterMaxWait) {
+  OneTenantConfig cfg = tiny_config();
+  cfg.fleet.max_wait = 20ms;
+  cfg.fleet.idle_wait = 2s;  // a hang here would mean max-wait never fired
+  auto fleet = serve_one(make_tiny_fcn(), cfg);
+  Rng rng(1);
+  const auto t0 = Clock::now();
+  const Response r = fleet->submit(kModel, random_image(rng)).get();
+  const auto elapsed = Clock::now() - t0;
+  ASSERT_EQ(r.status, Status::kOk) << r.reason;
+  EXPECT_EQ(r.batch_size, 1);
+  // Shipped via max-wait expiry (not instantly, not via the idle timeout).
+  EXPECT_GE(r.queue_us, 10000.0);
+  EXPECT_LT(elapsed, 1s);
+}
+
+TEST(SingleModelFleet, FillsToMaxBatchWithoutWaitingFullWindow) {
+  OneTenantConfig cfg = tiny_config();
+  cfg.tenant.max_batch = 3;
+  cfg.fleet.max_wait = 5s;  // a full wait here would time the test out
+  auto fleet = serve_one(make_tiny_fcn(), cfg);
+  Rng rng(2);
+  std::vector<std::future<Response>> futs;
+  const auto t0 = Clock::now();
+  for (int i = 0; i < 3; ++i) futs.push_back(fleet->submit(kModel, random_image(rng)));
+  for (auto& f : futs) {
+    const Response r = f.get();
+    ASSERT_EQ(r.status, Status::kOk) << r.reason;
+    EXPECT_EQ(r.batch_size, 3);
+  }
+  EXPECT_LT(Clock::now() - t0, 2s);  // returned well before max_wait
+}
+
+TEST(SingleModelFleet, ShedsExpiredDeadlinesBeforeDispatch) {
+  OneTenantConfig cfg = tiny_config();
+  cfg.tenant.max_batch = 2;
+  cfg.fleet.max_wait = 1ms;
+  auto fleet = serve_one(make_tiny_fcn(), cfg);
+  Rng rng(3);
+  auto fdead = fleet->submit(kModel, random_image(rng), Deadline::after(0us));
+  auto flive = fleet->submit(kModel, random_image(rng));
+  const Response dr = fdead.get();
+  EXPECT_EQ(dr.status, Status::kExpired);
+  EXPECT_GT(dr.latency_us, 0.0);
+  const Response lr = flive.get();
+  ASSERT_EQ(lr.status, Status::kOk) << lr.reason;
+  EXPECT_EQ(lr.batch_size, 1);  // the expired request never joined a batch
+  fleet->stop();
+  const auto stats = fleet->stats().total;
+  EXPECT_EQ(stats.expired, 1);
+  EXPECT_TRUE(stats.all_resolved());
+}
+
+TEST(SingleModelFleet, StopOnIdleFleetJoinsPromptly) {
+  // An idle worker parks for idle_wait between ticks; stop must wake it
+  // instead of waiting the tick out.
+  OneTenantConfig cfg = tiny_config();
+  cfg.fleet.idle_wait = 10s;
+  auto fleet = serve_one(make_tiny_fcn(), cfg);
+  const auto t0 = Clock::now();
+  fleet->stop();
+  EXPECT_LT(Clock::now() - t0, 2s);
+  EXPECT_FALSE(fleet->ready());
+}
+
+TEST(SingleModelFleet, BatchedOutputsBitIdenticalToPerRequestForward) {
   nn::Model reference = make_tiny_classifier(7);
-  ServingSession session(make_tiny_classifier(7), tiny_config());
+  auto fleet = serve_one(make_tiny_classifier(7), tiny_config());
 
   Rng rng(123);
   std::vector<TensorF> images;
   std::vector<std::future<Response>> futs;
   for (int i = 0; i < 20; ++i) images.push_back(random_image(rng));
-  for (const TensorF& img : images) futs.push_back(session.submit(img));
+  for (const TensorF& img : images) futs.push_back(fleet->submit(kModel, img));
   for (std::size_t i = 0; i < futs.size(); ++i) {
     const Response r = futs[i].get();
     ASSERT_EQ(r.status, Status::kOk) << r.reason;
@@ -256,75 +191,21 @@ TEST(ServingSession, BatchedOutputsBitIdenticalToPerRequestForward) {
     const TensorF want = infer_single(reference, images[i]);
     EXPECT_TRUE(bits_equal(r.output, want)) << "request " << i;
   }
-  session.stop();
-  const auto stats = session.stats();
+  fleet->stop();
+  const auto stats = fleet->stats().total;
   EXPECT_EQ(stats.completed, 20);
   EXPECT_TRUE(stats.all_resolved());
 }
 
-TEST(ServingSession, PaddedTailBatchChangesNoBits) {
-  // 3 requests into a max_batch=8 padded dispatch: the 5 zero slots must
-  // not alter any live request's output.
-  nn::Model reference = make_tiny_classifier(7);
-  SessionConfig cfg = tiny_config();
-  cfg.batch.max_batch = 8;
-  cfg.pad_tail_batches = true;
-  ServingSession session(make_tiny_classifier(7), cfg);
-
-  Rng rng(321);
-  std::vector<TensorF> images;
-  for (int i = 0; i < 3; ++i) images.push_back(random_image(rng));
-  std::vector<std::future<Response>> futs;
-  for (const TensorF& img : images) futs.push_back(session.submit(img));
-  for (std::size_t i = 0; i < futs.size(); ++i) {
-    const Response r = futs[i].get();
-    ASSERT_EQ(r.status, Status::kOk);
-    EXPECT_TRUE(bits_equal(r.output, infer_single(reference, images[i])));
-  }
-}
-
-TEST(ServingSession, MixedShapesSplitIntoCoherentBatches) {
-  // Legacy policy coverage: under kSplit, a batch never mixes shapes.
-  SessionConfig cfg = tiny_config();
-  cfg.batch.max_batch = 8;
-  cfg.batch.mixed = MixedMode::kSplit;
-  ServingSession session(make_tiny_fcn(), cfg);
-
-  Rng rng(5);
-  std::vector<std::future<Response>> futs;
-  for (int i = 0; i < 12; ++i) {
-    const std::int64_t s = (i % 2 == 0) ? 8 : 6;  // interleaved shapes
-    futs.push_back(session.submit(random_image(rng, s, s)));
-  }
-  for (int i = 0; i < 12; ++i) {
-    const Response r = futs[static_cast<std::size_t>(i)].get();
-    ASSERT_EQ(r.status, Status::kOk);
-    const std::int64_t s = (i % 2 == 0) ? 8 : 6;
-    EXPECT_EQ(r.output.dim(1), s);  // conv is same-padded: H preserved
-    // A batch can only have held requests of one shape.
-    EXPECT_LE(r.batch_size, 6);
-  }
-  session.stop();
-  EXPECT_TRUE(session.stats().all_resolved());
-}
-
-TEST(ServingSession, MixedShapesCoalesceIntoIndirectBatches) {
-  // Default policy: interleaved A/B/A/B traffic ships as a handful of
-  // mixed-shape indirect dispatches — not a batch-1 ping-pong cascade —
-  // and every output matches the per-request dense forward bit for bit.
+TEST(SingleModelFleet, MixedShapesCoalesceIntoIndirectBatches) {
+  // Interleaved A/B/A/B traffic ships as a handful of mixed-shape indirect
+  // dispatches — not a batch-1 ping-pong cascade — and every output
+  // matches the per-request dense forward bit for bit.
   nn::Model reference = make_tiny_fcn();
-  SessionConfig cfg = tiny_config();
-  cfg.batch.max_batch = 8;
-  cfg.batch.max_wait = 50ms;
-  ASSERT_EQ(cfg.batch.mixed, MixedMode::kIndirect);  // the default
-  // Scoped isolation instead of the before/after delta dance: the guard
-  // zeroes the registry on entry and exit, so the padded-slots assertion
-  // below reads an absolute value regardless of what ran earlier in this
-  // binary.
-  trace::ResetGuard metrics_guard;
-  auto& padded =
-      trace::MetricsRegistry::global().counter("serve.padded_slots");
-  ServingSession session(make_tiny_fcn(), cfg);
+  OneTenantConfig cfg = tiny_config();
+  cfg.tenant.max_batch = 8;
+  cfg.fleet.max_wait = 50ms;
+  auto fleet = serve_one(make_tiny_fcn(), cfg);
 
   Rng rng(5);
   std::vector<TensorF> images;
@@ -332,7 +213,7 @@ TEST(ServingSession, MixedShapesCoalesceIntoIndirectBatches) {
   for (int i = 0; i < 12; ++i) {
     const std::int64_t s = (i % 2 == 0) ? 8 : 6;  // interleaved shapes
     images.push_back(random_image(rng, s, s));
-    futs.push_back(session.submit(images.back()));
+    futs.push_back(fleet->submit(kModel, images.back()));
   }
   for (int i = 0; i < 12; ++i) {
     const Response r = futs[static_cast<std::size_t>(i)].get();
@@ -343,92 +224,87 @@ TEST(ServingSession, MixedShapesCoalesceIntoIndirectBatches) {
                            infer_single(reference, images[static_cast<std::size_t>(i)])))
         << "request " << i;
   }
-  session.stop();
-  const auto stats = session.stats();
+  fleet->stop();
+  const auto stats = fleet->stats().total;
   EXPECT_TRUE(stats.all_resolved());
   EXPECT_EQ(stats.completed, 12);
   // Ping-pong regression: 12 interleaved requests must not cost anywhere
-  // near 12 dispatches (kSplit would ping-pong batch-1/batch-2 here).
+  // near 12 dispatches.
   EXPECT_LE(stats.batches, 4);
   EXPECT_GE(stats.indirect_batches, 1);
-  // Satellite: the indirect policy never materializes pad slots.
-  EXPECT_EQ(padded.value(), 0);
 }
 
-TEST(ServingSession, ShapeIdenticalRunStillShipsDenseUnderIndirectPolicy) {
-  // Uniform traffic must keep coalescing into dense batches — the parking
-  // lot only goes indirect when shapes actually mix.
-  SessionConfig cfg = tiny_config();
-  cfg.batch.max_batch = 4;
-  cfg.batch.max_wait = 50ms;
-  ServingSession session(make_tiny_fcn(), cfg);
+TEST(SingleModelFleet, ShapeIdenticalRunShipsDense) {
+  // Uniform traffic coalesces into dense batches — a batch only goes
+  // indirect when its shapes actually mix.
+  OneTenantConfig cfg = tiny_config();
+  cfg.tenant.max_batch = 4;
+  cfg.fleet.max_wait = 50ms;
+  auto fleet = serve_one(make_tiny_fcn(), cfg);
   Rng rng(6);
   std::vector<std::future<Response>> futs;
-  for (int i = 0; i < 8; ++i) futs.push_back(session.submit(random_image(rng)));
+  for (int i = 0; i < 8; ++i) futs.push_back(fleet->submit(kModel, random_image(rng)));
   for (auto& f : futs) ASSERT_EQ(f.get().status, Status::kOk);
-  session.stop();
-  const auto stats = session.stats();
+  fleet->stop();
+  const auto stats = fleet->stats().total;
   EXPECT_TRUE(stats.all_resolved());
   EXPECT_EQ(stats.indirect_batches, 0);  // one shape → dense dispatches only
   EXPECT_LE(stats.batches, 3);
 }
 
-TEST(ServingSession, StopWithoutDrainUnderMixedTrafficResolvesEveryFuture) {
-  // The zero-unresolved-futures guarantee must survive the indirect path:
-  // parked requests are drained or shed at stop, never leaked.
-  SessionConfig cfg = tiny_config();
-  cfg.batch.max_batch = 4;
-  cfg.batch.max_wait = 200ms;  // park is likely still holding some at stop
-  ServingSession session(make_tiny_fcn(), cfg);
-  Rng rng(14);
-  std::vector<std::future<Response>> futs;
-  for (int i = 0; i < 24; ++i) {
-    const std::int64_t s = (i % 3 == 0) ? 6 : ((i % 3 == 1) ? 8 : 10);
-    futs.push_back(session.submit(random_image(rng, s, s)));
-  }
-  session.stop(/*drain=*/false);
-  int ok = 0, shut = 0;
-  for (auto& f : futs) {
-    ASSERT_EQ(f.wait_for(5s), std::future_status::ready) << "unresolved future";
-    const Response r = f.get();
-    ASSERT_TRUE(r.status == Status::kOk || r.status == Status::kShutdown);
-    (r.status == Status::kOk ? ok : shut)++;
-  }
-  EXPECT_EQ(ok + shut, 24);
-  const auto stats = session.stats();
-  EXPECT_EQ(stats.completed, ok);
-  EXPECT_EQ(stats.shed, shut);
+// ---------------------------------------------------------------------------
+// Admission and shutdown
+
+TEST(SingleModelFleet, FullQueueRejectsWithReasonAndStopShedsQueued) {
+  OneTenantConfig cfg = tiny_config();
+  cfg.tenant.queue_capacity = 2;
+  cfg.tenant.max_batch = 8;
+  cfg.fleet.max_wait = 5s;  // the two queued requests stay queued
+  auto fleet = serve_one(make_tiny_fcn(), cfg);
+  Rng rng(7);
+  auto f1 = fleet->submit(kModel, random_image(rng));
+  auto f2 = fleet->submit(kModel, random_image(rng));
+  auto f3 = fleet->submit(kModel, random_image(rng));
+  // The rejected promise resolves immediately with a reason.
+  ASSERT_EQ(f3.wait_for(0s), std::future_status::ready);
+  const Response r3 = f3.get();
+  EXPECT_EQ(r3.status, Status::kRejected);
+  EXPECT_EQ(r3.reason, "queue full");
+  EXPECT_EQ(fleet->queue_depth(kModel), 2u);
+  fleet->stop(/*drain=*/false);
+  EXPECT_EQ(f1.get().status, Status::kShutdown);
+  EXPECT_EQ(f2.get().status, Status::kShutdown);
+  const auto stats = fleet->stats().total;
+  EXPECT_EQ(stats.rejected, 1);
+  EXPECT_EQ(stats.shed, 2);
   EXPECT_TRUE(stats.all_resolved());
 }
 
-TEST(ServingSession, DrainServesParkedMixedTraffic) {
-  // stop(drain=true) must serve requests sitting in the parking lot, not
-  // just the ones still in the queue.
-  SessionConfig cfg = tiny_config();
-  cfg.batch.max_batch = 8;
-  cfg.batch.max_wait = 500ms;  // without drain these would sit parked
-  ServingSession session(make_tiny_fcn(), cfg);
-  Rng rng(15);
-  std::vector<std::future<Response>> futs;
-  for (int i = 0; i < 5; ++i) {
-    const std::int64_t s = (i % 2 == 0) ? 8 : 6;
-    futs.push_back(session.submit(random_image(rng, s, s)));
-  }
-  session.stop(/*drain=*/true);
-  for (auto& f : futs) EXPECT_EQ(f.get().status, Status::kOk);
-  EXPECT_TRUE(session.stats().all_resolved());
+TEST(SingleModelFleet, ClosedQueueResolvesShutdown) {
+  auto fleet = serve_one(make_tiny_fcn(), tiny_config());
+  fleet->stop(/*drain=*/true);
+  Rng rng(8);
+  auto f = fleet->submit(kModel, random_image(rng));
+  // A closed fleet refuses at admission: the promise is resolved before
+  // submit returns, and the request is counted as rejected, never accepted.
+  ASSERT_EQ(f.wait_for(0s), std::future_status::ready);
+  EXPECT_EQ(f.get().status, Status::kShutdown);
+  const auto stats = fleet->stats().total;
+  EXPECT_EQ(stats.accepted, 0);
+  EXPECT_EQ(stats.rejected, 1);
+  EXPECT_TRUE(stats.all_resolved());
 }
 
-TEST(ServingSession, FullQueueRejectsAtAdmission) {
-  SessionConfig cfg = tiny_config();
-  cfg.queue_capacity = 4;
-  cfg.batch.max_batch = 8;
-  cfg.batch.max_wait = 500ms;  // worker holds the batch open → queue fills
-  ServingSession session(make_tiny_classifier(), cfg);
+TEST(SingleModelFleet, FullQueueRejectsAtAdmission) {
+  OneTenantConfig cfg = tiny_config();
+  cfg.tenant.queue_capacity = 4;
+  cfg.tenant.max_batch = 8;
+  cfg.fleet.max_wait = 500ms;  // worker holds the batch open → queue fills
+  auto fleet = serve_one(make_tiny_classifier(), cfg);
 
   Rng rng(9);
   std::vector<std::future<Response>> futs;
-  for (int i = 0; i < 12; ++i) futs.push_back(session.submit(random_image(rng)));
+  for (int i = 0; i < 12; ++i) futs.push_back(fleet->submit(kModel, random_image(rng)));
   int ok = 0, rejected = 0;
   for (auto& f : futs) {
     const Response r = f.get();
@@ -440,51 +316,69 @@ TEST(ServingSession, FullQueueRejectsAtAdmission) {
   }
   EXPECT_EQ(ok + rejected, 12);
   EXPECT_GE(rejected, 1);  // capacity 4 cannot hold a burst of 12
-  session.stop();
-  const auto stats = session.stats();
+  fleet->stop();
+  const auto stats = fleet->stats().total;
   EXPECT_EQ(stats.rejected, rejected);
   EXPECT_TRUE(stats.all_resolved());
 }
 
-TEST(ServingSession, DeadlineExpiredWhileBatchHeldOpenIsShed) {
-  SessionConfig cfg = tiny_config();
-  cfg.batch.max_batch = 8;           // never fills…
-  cfg.batch.max_wait = 50ms;         // …so the batch is held 50 ms
-  ServingSession session(make_tiny_classifier(), cfg);
+TEST(SingleModelFleet, DeadlineExpiredWhileBatchHeldOpenIsShed) {
+  OneTenantConfig cfg = tiny_config();
+  cfg.tenant.max_batch = 8;     // never fills…
+  cfg.fleet.max_wait = 50ms;    // …so the batch is held 50 ms
+  auto fleet = serve_one(make_tiny_classifier(), cfg);
 
   Rng rng(10);
-  auto fut = session.submit(random_image(rng), Deadline::after(5ms));
+  auto fut = fleet->submit(kModel, random_image(rng), Deadline::after(5ms));
   const Response r = fut.get();
   EXPECT_EQ(r.status, Status::kExpired);
-  session.stop();
-  const auto stats = session.stats();
+  fleet->stop();
+  const auto stats = fleet->stats().total;
   EXPECT_EQ(stats.expired, 1);
   EXPECT_TRUE(stats.all_resolved());
 }
 
-TEST(ServingSession, StopWithDrainServesEverythingQueued) {
-  SessionConfig cfg = tiny_config();
-  cfg.batch.max_wait = 20ms;
-  ServingSession session(make_tiny_classifier(), cfg);
+TEST(SingleModelFleet, StopWithDrainServesEverythingQueued) {
+  OneTenantConfig cfg = tiny_config();
+  cfg.fleet.max_wait = 20ms;
+  auto fleet = serve_one(make_tiny_classifier(), cfg);
   Rng rng(11);
   std::vector<std::future<Response>> futs;
-  for (int i = 0; i < 16; ++i) futs.push_back(session.submit(random_image(rng)));
-  session.stop(/*drain=*/true);
+  for (int i = 0; i < 16; ++i) futs.push_back(fleet->submit(kModel, random_image(rng)));
+  fleet->stop(/*drain=*/true);
   for (auto& f : futs) EXPECT_EQ(f.get().status, Status::kOk);
-  const auto stats = session.stats();
+  const auto stats = fleet->stats().total;
   EXPECT_EQ(stats.completed, 16);
   EXPECT_TRUE(stats.all_resolved());
 }
 
-TEST(ServingSession, StopWithoutDrainResolvesEveryFuture) {
-  SessionConfig cfg = tiny_config();
-  cfg.batch.max_batch = 2;
-  cfg.batch.max_wait = 1ms;
-  ServingSession session(make_tiny_classifier(), cfg);
+TEST(SingleModelFleet, DrainServesHeldMixedTraffic) {
+  // stop(drain=true) must serve mixed-shape requests still held open for
+  // max_wait, not shed them.
+  OneTenantConfig cfg = tiny_config();
+  cfg.tenant.max_batch = 8;
+  cfg.fleet.max_wait = 500ms;  // without drain these would sit queued
+  auto fleet = serve_one(make_tiny_fcn(), cfg);
+  Rng rng(15);
+  std::vector<std::future<Response>> futs;
+  for (int i = 0; i < 5; ++i) {
+    const std::int64_t s = (i % 2 == 0) ? 8 : 6;
+    futs.push_back(fleet->submit(kModel, random_image(rng, s, s)));
+  }
+  fleet->stop(/*drain=*/true);
+  for (auto& f : futs) EXPECT_EQ(f.get().status, Status::kOk);
+  EXPECT_TRUE(fleet->stats().all_resolved());
+}
+
+TEST(SingleModelFleet, StopWithoutDrainResolvesEveryFuture) {
+  OneTenantConfig cfg = tiny_config();
+  cfg.tenant.max_batch = 2;
+  cfg.fleet.max_wait = 1ms;
+  auto fleet = serve_one(make_tiny_classifier(), cfg);
   Rng rng(12);
   std::vector<std::future<Response>> futs;
-  for (int i = 0; i < 32; ++i) futs.push_back(session.submit(random_image(rng)));
-  session.stop(/*drain=*/false);  // in-flight batches finish; queue is shed
+  for (int i = 0; i < 32; ++i) futs.push_back(fleet->submit(kModel, random_image(rng)));
+  fleet->stop(/*drain=*/false);  // in-flight batches finish; queue is shed
   int ok = 0, shut = 0;
   for (auto& f : futs) {
     ASSERT_EQ(f.wait_for(5s), std::future_status::ready) << "unresolved future";
@@ -493,21 +387,49 @@ TEST(ServingSession, StopWithoutDrainResolvesEveryFuture) {
     (r.status == Status::kOk ? ok : shut)++;
   }
   EXPECT_EQ(ok + shut, 32);
-  const auto stats = session.stats();
+  const auto stats = fleet->stats().total;
   EXPECT_EQ(stats.completed, ok);
   EXPECT_EQ(stats.shed, shut);
   EXPECT_TRUE(stats.all_resolved());
   // Idempotent: stopping again (and the destructor after that) is a no-op.
-  session.stop();
+  fleet->stop();
 }
 
-TEST(ServingSession, SubmitAfterStopResolvesShutdown) {
-  ServingSession session(make_tiny_classifier(), tiny_config());
-  session.stop();
+TEST(SingleModelFleet, StopWithoutDrainUnderMixedTrafficResolvesEveryFuture) {
+  // The zero-unresolved-futures guarantee must survive the indirect path:
+  // held requests are served or shed at stop, never leaked.
+  OneTenantConfig cfg = tiny_config();
+  cfg.tenant.max_batch = 4;
+  cfg.fleet.max_wait = 200ms;  // some are likely still held at stop
+  auto fleet = serve_one(make_tiny_fcn(), cfg);
+  Rng rng(14);
+  std::vector<std::future<Response>> futs;
+  for (int i = 0; i < 24; ++i) {
+    const std::int64_t s = (i % 3 == 0) ? 6 : ((i % 3 == 1) ? 8 : 10);
+    futs.push_back(fleet->submit(kModel, random_image(rng, s, s)));
+  }
+  fleet->stop(/*drain=*/false);
+  int ok = 0, shut = 0;
+  for (auto& f : futs) {
+    ASSERT_EQ(f.wait_for(5s), std::future_status::ready) << "unresolved future";
+    const Response r = f.get();
+    ASSERT_TRUE(r.status == Status::kOk || r.status == Status::kShutdown);
+    (r.status == Status::kOk ? ok : shut)++;
+  }
+  EXPECT_EQ(ok + shut, 24);
+  const auto stats = fleet->stats().total;
+  EXPECT_EQ(stats.completed, ok);
+  EXPECT_EQ(stats.shed, shut);
+  EXPECT_TRUE(stats.all_resolved());
+}
+
+TEST(SingleModelFleet, SubmitAfterStopResolvesShutdown) {
+  auto fleet = serve_one(make_tiny_classifier(), tiny_config());
+  fleet->stop();
   Rng rng(13);
-  auto fut = session.submit(random_image(rng));
-  const Response r = fut.get();
+  const Response r = fleet->submit(kModel, random_image(rng)).get();
   EXPECT_EQ(r.status, Status::kShutdown);
+  EXPECT_FALSE(r.reason.empty());
 }
 
 // ---------------------------------------------------------------------------
