@@ -14,6 +14,13 @@
 // trimmed sweep and reports without gating the speedup (CI smoke boxes are
 // noisy), but always asserts the metrics invariant: filter-transform misses
 // == distinct (weights version, Γ geometry) pairs.
+//
+// A stride-2 scenario times the scalar implicit-GEMM reference against the
+// space-to-depth rewrite on the Γ engine (core::conv2d_stride2) on a ResNet
+// stage-entry shape; both modes gate its deviation relative to the output
+// scale, full mode also a 2× speedup.
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <set>
@@ -33,6 +40,7 @@
 #include "core/host_kernels.hpp"
 #include "nn/layers.hpp"
 #include "nn/optim.hpp"
+#include "reference/im2col_gemm.hpp"
 #include "tensor/metrics.hpp"
 #include "winograd/plan.hpp"
 
@@ -477,6 +485,61 @@ Result run_scenario(const Scenario& sc, int reps) {
   return r;
 }
 
+struct Stride2Result {
+  std::string name;
+  double reference_ms = 0.0;
+  double rewrite_ms = 0.0;
+  double speedup = 0.0;  ///< reference / rewrite
+  double max_abs_diff = 0.0;
+  double max_rel_diff = 0.0;  ///< max_abs_diff / max(1, max |reference|)
+};
+
+/// Deviation bound for the stride-2 rewrite, relative to the output scale.
+/// Its α = 8 F(7,2) tiles over P²·IC = 128 channels sit 3.6e-6 from the
+/// reference (1.1e-4 absolute at outputs up to 29), against the O(1e-2)
+/// of a misplaced tap or phase.
+constexpr double kStride2Tolerance = 2e-5;
+
+/// Stride-2 conv: ref::conv2d_implicit_gemm_strided (the kGemm engine's
+/// strided path) against core::conv2d_stride2 with w' and ĝ warm in a
+/// filter cache, best of interleaved rounds like run_scenario.
+Stride2Result run_stride2(const char* name, const ConvShape& s, int reps) {
+  const TensorF x = rand_tensor({s.n, s.ih, s.iw, s.ic}, 41);
+  const TensorF w = rand_tensor({s.oc, s.fh, s.fw, s.ic}, 43);
+  core::FilterTransformCache cache(16);
+  core::ConvOptions opts;
+  opts.filter_cache = &cache;
+  opts.trace = false;
+  const TensorF y_ref = ref::conv2d_implicit_gemm_strided(x, w, s, 2, 2);
+  const TensorF y_new = core::conv2d_stride2(x, w, s, opts);
+
+  constexpr int kRounds = 5;
+  double ref_ms = 1e300;
+  double new_ms = 1e300;
+  for (int round = 0; round < kRounds; ++round) {
+    Timer t_ref;
+    for (int i = 0; i < reps; ++i) {
+      ref::conv2d_implicit_gemm_strided(x, w, s, 2, 2);
+    }
+    ref_ms = std::min(ref_ms, t_ref.millis() / reps);
+    Timer t_new;
+    for (int i = 0; i < reps; ++i) core::conv2d_stride2(x, w, s, opts);
+    new_ms = std::min(new_ms, t_new.millis() / reps);
+  }
+  Stride2Result r;
+  r.name = name;
+  r.reference_ms = ref_ms;
+  r.rewrite_ms = new_ms;
+  r.speedup = ref_ms / new_ms;
+  r.max_abs_diff = max_abs_diff(y_ref, y_new);
+  double scale = 1.0;
+  for (std::int64_t i = 0; i < y_ref.size(); ++i) {
+    scale = std::max(scale, static_cast<double>(std::abs(y_ref[i])));
+  }
+  r.max_rel_diff = r.max_abs_diff / scale;
+  return r;
+}
+
 /// Misses must equal distinct (weights version, Γ geometry) pairs: run
 /// `versions` weight versions × `reps` calls each over a multi-segment plan
 /// and compare against the plan's distinct (α, r) set.
@@ -581,6 +644,14 @@ int main(int argc, char** argv) {
     results.push_back(r);
   }
 
+  // ResNet18's first stage entry (base 32, batch 8, 32×32 input).
+  const Stride2Result s2 =
+      run_stride2("conv_s2_32x32x32x64_f3", shape(8, 32, 32, 64, 3), reps);
+  std::printf("%-22s reference %8.3f ms   rewrite %8.3f ms   speedup %5.2fx"
+              "   max|Δ| %.2e (%.2e of scale)\n",
+              s2.name.c_str(), s2.reference_ms, s2.rewrite_ms, s2.speedup,
+              s2.max_abs_diff, s2.max_rel_diff);
+
   long long misses = 0;
   long long expected = 0;
   const bool metrics_ok = check_metrics_invariant(&misses, &expected);
@@ -609,6 +680,12 @@ int main(int argc, char** argv) {
                      i + 1 < results.size() ? "," : "");
       }
       std::fprintf(f, "  ],\n");
+      std::fprintf(f,
+                   "  \"stride2\": {\"name\": \"%s\", \"reference_ms\": %.4f, "
+                   "\"rewrite_ms\": %.4f, \"speedup\": %.3f, "
+                   "\"max_abs_diff\": %.3e, \"max_rel_diff\": %.3e},\n",
+                   s2.name.c_str(), s2.reference_ms, s2.rewrite_ms,
+                   s2.speedup, s2.max_abs_diff, s2.max_rel_diff);
       std::fprintf(f, "  \"filter_transform_misses\": %lld,\n", misses);
       std::fprintf(f, "  \"expected_misses\": %lld,\n", expected);
       std::fprintf(f, "  \"train_step_ms\": %.4f\n}\n", step_ms);
@@ -627,6 +704,17 @@ int main(int argc, char** argv) {
   // roundings relative to both frozen baselines.
   if (worst_parity > 1e-4) {
     std::printf("FAIL: engines disagree (max|Δ| %.2e > 1e-4)\n", worst_parity);
+    fail = true;
+  }
+  if (s2.max_rel_diff > kStride2Tolerance) {
+    std::printf("FAIL: stride-2 rewrite disagrees with the reference "
+                "(max|Δ| %.2e of scale > %.0e)\n",
+                s2.max_rel_diff, kStride2Tolerance);
+    fail = true;
+  }
+  if (!smoke && s2.speedup < 2.0) {
+    std::printf("FAIL: stride-2 rewrite speedup %.2fx below the 2x bound\n",
+                s2.speedup);
     fail = true;
   }
   if (!smoke && worst_speedup < 1.5) {

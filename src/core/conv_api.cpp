@@ -1,8 +1,12 @@
 #include "core/conv_api.hpp"
 
+#include <algorithm>
+#include <cstring>
 #include <optional>
 
+#include "common/thread_pool.hpp"
 #include "common/trace.hpp"
+#include "core/filter_cache.hpp"
 #include "core/gamma_host.hpp"
 #include "tensor/layout.hpp"
 
@@ -70,7 +74,7 @@ void export_sim_stats(SpanT& span, const sim::LaunchStats& st) {
 std::vector<Segment> plan_for(const ConvShape& s, const ConvOptions& opts) {
   s.validate();
   if (!opts.use_winograd || s.fw < 2 || s.fw > 9) {
-    // Whole width handled by GEMM (also the non-unit-stride fallback path).
+    // Whole width handled by GEMM (widths the Γ kernels do not cover).
     Segment seg;
     seg.is_gemm = true;
     seg.ow_start = 0;
@@ -129,6 +133,130 @@ TensorF conv2d(const TensorF& x, const TensorF& w, const ConvShape& s,
   std::optional<trace::Suppress> mute;
   if (!opts.trace) mute.emplace();
   return conv2d_gamma_host(x, w, s, plan, cache_ref(opts));
+}
+
+namespace {
+
+/// Polyphase count per axis of the stride-2 rewrite.
+std::int64_t phases(std::int64_t f) { return std::min<std::int64_t>(2, f); }
+
+}  // namespace
+
+ConvShape space_to_depth_shape(const ConvShape& s) {
+  s.validate();
+  const std::int64_t fa_h = (s.fh + 1) / 2;
+  const std::int64_t fa_w = (s.fw + 1) / 2;
+  ConvShape r;
+  r.n = s.n;
+  r.ih = (s.ih + 2 * s.ph - s.fh) / 2 + fa_h;  // OH + ⌈FH/2⌉ − 1
+  r.iw = (s.iw + 2 * s.pw - s.fw) / 2 + fa_w;
+  r.ic = phases(s.fh) * phases(s.fw) * s.ic;
+  r.oc = s.oc;
+  r.fh = fa_h;
+  r.fw = fa_w;
+  return r;
+}
+
+void space_to_depth_input(const float* x, const ConvShape& s, float* dst) {
+  IWG_TRACE_SCOPE("space_to_depth", "host");
+  const ConvShape r = space_to_depth_shape(s);
+  const std::int64_t p_h = phases(s.fh);
+  const std::int64_t p_w = phases(s.fw);
+  const std::size_t ic_bytes = static_cast<std::size_t>(s.ic) * sizeof(float);
+  const std::int64_t rows = r.n * r.ih;
+  parallel_for(rows, parallel_grain(rows), [&](std::int64_t row) {
+    const std::int64_t ni = row / r.ih;
+    const std::int64_t k = row % r.ih;
+    const float* img = x + ni * s.ih * s.iw * s.ic;
+    float* out = dst + row * r.iw * r.ic;
+    for (std::int64_t j = 0; j < r.iw; ++j) {
+      for (std::int64_t p = 0; p < p_h; ++p) {
+        const std::int64_t h = 2 * k + p - s.ph;
+        for (std::int64_t q = 0; q < p_w; ++q, out += s.ic) {
+          const std::int64_t w = 2 * j + q - s.pw;
+          if (h < 0 || h >= s.ih || w < 0 || w >= s.iw) {
+            std::fill(out, out + s.ic, 0.0f);
+          } else {
+            std::memcpy(out, img + (h * s.iw + w) * s.ic, ic_bytes);
+          }
+        }
+      }
+    }
+  });
+}
+
+TensorF space_to_depth_filter(const TensorF& w) {
+  IWG_CHECK(w.rank() == 4);
+  const std::int64_t oc = w.dim(0);
+  const std::int64_t fh = w.dim(1);
+  const std::int64_t fw = w.dim(2);
+  const std::int64_t ic = w.dim(3);
+  const std::int64_t p_h = phases(fh);
+  const std::int64_t p_w = phases(fw);
+  const std::int64_t fa_h = (fh + 1) / 2;
+  const std::int64_t fa_w = (fw + 1) / 2;
+  TensorF wp({oc, fa_h, fa_w, p_h * p_w * ic});  // zero-filled
+  for (std::int64_t o = 0; o < oc; ++o) {
+    for (std::int64_t a = 0; a < fa_h; ++a) {
+      for (std::int64_t b = 0; b < fa_w; ++b) {
+        float* out = &wp.at(o, a, b, 0);
+        for (std::int64_t p = 0; p < p_h; ++p) {
+          for (std::int64_t q = 0; q < p_w; ++q, out += ic) {
+            if (2 * a + p < fh && 2 * b + q < fw) {
+              const float* src = &w.at(o, 2 * a + p, 2 * b + q, 0);
+              std::copy(src, src + ic, out);
+            }
+          }
+        }
+      }
+    }
+  }
+  return wp;
+}
+
+std::shared_ptr<const TensorF> space_to_depth_filter(
+    const TensorF& w, FilterTransformCache* cache, std::uint64_t version) {
+  if (w.dim(1) == 1 && w.dim(2) == 1) {
+    return std::shared_ptr<const TensorF>(std::shared_ptr<const TensorF>(),
+                                          &w);
+  }
+  if (cache == nullptr) {
+    filter_transform_misses().add();
+    return std::make_shared<const TensorF>(space_to_depth_filter(w));
+  }
+  FilterTransformCache::Key key;
+  key.weights = w.data();
+  key.version = version;
+  key.kind = FilterKind::kSpaceToDepth;
+  return cache->get_or_compute(key, [&] { return space_to_depth_filter(w); });
+}
+
+TensorF conv2d_stride2(const TensorF& x, const TensorF& w, const ConvShape& s,
+                       const ConvOptions& opts) {
+  return conv2d_stride2(x, w, s, plan_for(space_to_depth_shape(s), opts),
+                        opts);
+}
+
+TensorF conv2d_stride2(const TensorF& x, const TensorF& w, const ConvShape& s,
+                       const std::vector<Segment>& plan,
+                       const ConvOptions& opts) {
+  std::optional<trace::Suppress> mute;
+  if (!opts.trace) mute.emplace();
+  IWG_CHECK(x.rank() == 4 && x.dim(0) == s.n && x.dim(1) == s.ih &&
+            x.dim(2) == s.iw && x.dim(3) == s.ic);
+  IWG_CHECK(w.rank() == 4 && w.dim(0) == s.oc && w.dim(1) == s.fh &&
+            w.dim(2) == s.fw && w.dim(3) == s.ic);
+  const ConvShape rs = space_to_depth_shape(s);
+  TensorF xs({rs.n, rs.ih, rs.iw, rs.ic});
+  space_to_depth_input(x.data(), s, xs.data());
+  const std::shared_ptr<const TensorF> wp =
+      space_to_depth_filter(w, opts.filter_cache, opts.weights_version);
+  // ĝ of w' is keyed on the original weights, so the version bump of an
+  // optimizer step or a weight load invalidates it with everything else.
+  FilterCacheRef fc = cache_ref(opts);
+  fc.key = w.data();
+  fc.kind = FilterKind::kSpaceToDepth;
+  return conv2d_gamma_host(xs, *wp, rs, plan, fc);
 }
 
 TensorF deconv2d(const TensorF& dy, const TensorF& w, const ConvShape& s,

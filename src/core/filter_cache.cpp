@@ -20,14 +20,13 @@ trace::Counter& filter_transform_misses() {
   return c;
 }
 
-std::vector<float> transform_filter_host(const TensorF& w, const ConvShape& s,
-                                         const GammaConfig& cfg) {
+TensorF transform_filter_host(const TensorF& w, const ConvShape& s,
+                              const GammaConfig& cfg) {
   const int alpha = cfg.alpha;
   const int r = cfg.r;
   const WinogradPlan& plan = get_plan(cfg.n, r);
   const HostKernels& hk = host_kernels();
-  std::vector<float> ghat(static_cast<std::size_t>(s.fh) * alpha * s.ic *
-                          s.oc);
+  TensorF ghat({s.fh, alpha, s.ic, s.oc});
   // The r filter taps of one (oc, fh) slice are IC-contiguous NHWC-style
   // rows, so the G transform runs IC-lane-parallel; the scatter into the
   // ĝ[fh][t][ic][oc] layout (OC innermost for the axpy kernel) is the only
@@ -60,40 +59,40 @@ std::size_t FilterTransformCache::KeyHash::operator()(const Key& k) const {
   };
   mix(std::hash<std::uint64_t>{}(k.version));
   mix(static_cast<std::size_t>(k.alpha) * 31 + static_cast<std::size_t>(k.r));
-  mix(k.deconv ? 1 : 0);
+  mix(static_cast<std::size_t>(k.kind));
   return h;
 }
 
 FilterTransformCache::FilterTransformCache(std::size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity) {}
 
-FilterTransformCache::Ghat FilterTransformCache::get_or_compute(
-    const Key& key, const std::function<std::vector<float>()>& compute) {
+FilterTransformCache::Filter FilterTransformCache::get_or_compute(
+    const Key& key, const std::function<TensorF()>& compute) {
   {
     std::lock_guard lock(mu_);
     auto it = map_.find(key);
     if (it != map_.end()) {
       lru_.splice(lru_.begin(), lru_, it->second.lru);
       filter_transform_hits().add();
-      return it->second.ghat;
+      return it->second.filter;
     }
   }
   filter_transform_misses().add();
   IWG_TRACE_SCOPE("filter_transform", "host");
-  Ghat ghat = std::make_shared<const std::vector<float>>(compute());
+  Filter filter = std::make_shared<const TensorF>(compute());
   std::lock_guard lock(mu_);
   auto it = map_.find(key);
   if (it != map_.end()) {
     // Concurrent duplicate miss: the transform is deterministic, keep the
     // first insertion.
     lru_.splice(lru_.begin(), lru_, it->second.lru);
-    return it->second.ghat;
+    return it->second.filter;
   }
   // A new version supersedes older versions of the same weights/config.
   for (auto mit = map_.begin(); mit != map_.end();) {
     const Key& k = mit->first;
     if (k.weights == key.weights && k.alpha == key.alpha && k.r == key.r &&
-        k.deconv == key.deconv && k.version != key.version) {
+        k.kind == key.kind && k.version != key.version) {
       lru_.erase(mit->second.lru);
       mit = map_.erase(mit);
     } else {
@@ -105,8 +104,8 @@ FilterTransformCache::Ghat FilterTransformCache::get_or_compute(
     lru_.pop_back();
   }
   lru_.push_front(key);
-  map_.emplace(key, Entry{ghat, lru_.begin()});
-  return ghat;
+  map_.emplace(key, Entry{filter, lru_.begin()});
+  return filter;
 }
 
 void FilterTransformCache::invalidate(const void* weights) {

@@ -203,7 +203,7 @@ void conv2d_gamma_host_segment(const TensorF& x, const TensorF& w,
                                const ConvShape& s, const GammaConfig& cfg,
                                std::int64_t ow_start, std::int64_t ow_len,
                                TensorF& y) {
-  const std::vector<float> ghat = transform_filter_host(w, s, cfg);
+  const TensorF ghat = transform_filter_host(w, s, cfg);
   conv2d_gamma_host_segment_pretransformed(x, ghat.data(), s, cfg, ow_start,
                                            ow_len, y);
 }
@@ -253,9 +253,9 @@ TensorF conv2d_gamma_host(const TensorF& x, const TensorF& w,
   // Per-call ĝ memo: segments sharing (α, r) — e.g. a ruse prefix and its
   // base mop-up — transform once even without a cross-call cache. With a
   // cache, the memo also keeps repeat segments off the cache lock.
-  std::vector<std::pair<std::pair<int, int>, FilterTransformCache::Ghat>>
+  std::vector<std::pair<std::pair<int, int>, FilterTransformCache::Filter>>
       call_memo;
-  auto ghat_for = [&](const GammaConfig& cfg) -> FilterTransformCache::Ghat {
+  auto ghat_for = [&](const GammaConfig& cfg) -> FilterTransformCache::Filter {
     const std::pair<int, int> geom{cfg.alpha, cfg.r};
     for (const auto& e : call_memo) {
       if (e.first == geom) {
@@ -263,7 +263,7 @@ TensorF conv2d_gamma_host(const TensorF& x, const TensorF& w,
         return e.second;
       }
     }
-    FilterTransformCache::Ghat ghat;
+    FilterTransformCache::Filter ghat;
     if (fc.cache != nullptr) {
       FilterTransformCache::Key key;
       key.weights = fc.key != nullptr ? fc.key
@@ -271,13 +271,12 @@ TensorF conv2d_gamma_host(const TensorF& x, const TensorF& w,
       key.version = fc.version;
       key.alpha = cfg.alpha;
       key.r = cfg.r;
-      key.deconv = fc.deconv;
+      key.kind = fc.kind;
       ghat = fc.cache->get_or_compute(
           key, [&] { return transform_filter_host(w, s, cfg); });
     } else {
       filter_transform_misses().add();
-      ghat = std::make_shared<const std::vector<float>>(
-          transform_filter_host(w, s, cfg));
+      ghat = std::make_shared<const TensorF>(transform_filter_host(w, s, cfg));
     }
     call_memo.emplace_back(geom, ghat);
     return ghat;
@@ -301,7 +300,7 @@ TensorF conv2d_gamma_host(const TensorF& x, const TensorF& w,
       conv2d_gemm_host_segment(x, w, s, seg.ow_start, seg.ow_len, y);
     } else {
       gamma_segs.add();
-      const FilterTransformCache::Ghat ghat = ghat_for(seg.cfg);
+      const FilterTransformCache::Filter ghat = ghat_for(seg.cfg);
       conv2d_gamma_host_segment_pretransformed(x, ghat->data(), s, seg.cfg,
                                                seg.ow_start, seg.ow_len, y);
     }
@@ -334,10 +333,10 @@ TensorF deconv2d_gamma_host(const TensorF& dy, const TensorF& w,
   ds.pw = s.fw - 1 - s.pw;
   IWG_CHECK(ds.oh() == s.ih && ds.ow() == s.iw);
   // Cache entries stay keyed on the *original* weights (wd is a temporary);
-  // the deconv flag separates them from the forward transforms.
+  // the kind separates them from the forward transforms.
   FilterCacheRef dfc = fc;
   dfc.key = fc.key != nullptr ? fc.key : static_cast<const void*>(w.data());
-  dfc.deconv = true;
+  dfc.kind = FilterKind::kDeconv;
   return conv2d_gamma_host(dy, wd, ds, plan, dfc);
 }
 

@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/filter_cache.hpp"
 #include "core/gamma_config.hpp"
 #include "tensor/conv_shape.hpp"
 #include "tensor/tensor.hpp"
@@ -32,7 +33,6 @@ struct WinogradPlan;
 
 namespace iwg::core {
 
-class FilterTransformCache;
 struct HostKernels;
 
 namespace detail {
@@ -84,7 +84,7 @@ struct FilterCacheRef {
   FilterTransformCache* cache = nullptr;  ///< nullptr: per-call reuse only
   std::uint64_t version = 0;              ///< weights version (cache key)
   const void* key = nullptr;              ///< nullptr: use w.data()
-  bool deconv = false;                    ///< backward-data transform flag
+  FilterKind kind = FilterKind::kForward;  ///< which derived filter of `key`
 };
 
 /// Convolution over one OW segment with Γα(n,r); writes into `y` in place.
@@ -115,7 +115,7 @@ TensorF conv2d_gamma_host(const TensorF& x, const TensorF& w,
 
 /// Backward-data (deconvolution) through the same engine: the filter
 /// rotation/channel swap is folded into the filter transform. A cache ref
-/// is keyed on the *original* weights with the deconv flag set.
+/// is keyed on the *original* weights with FilterKind::kDeconv.
 TensorF deconv2d_gamma_host(const TensorF& dy, const TensorF& w,
                             const ConvShape& s,
                             const std::vector<Segment>& plan,

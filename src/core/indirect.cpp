@@ -99,7 +99,7 @@ void conv2d_gamma_host_indirect(std::span<const ImageView> images,
 
   // ĝ memo per (α, r) across every class's segments, through the cross-call
   // cache when the caller provides one (same keying as conv2d_gamma_host).
-  std::vector<std::pair<std::pair<int, int>, FilterTransformCache::Ghat>>
+  std::vector<std::pair<std::pair<int, int>, FilterTransformCache::Filter>>
       call_memo;
   auto ghat_for = [&](const GammaConfig& cfg,
                       const ConvShape& s) -> const float* {
@@ -110,7 +110,7 @@ void conv2d_gamma_host_indirect(std::span<const ImageView> images,
         return e.second->data();
       }
     }
-    FilterTransformCache::Ghat ghat;
+    FilterTransformCache::Filter ghat;
     if (opts.fc.cache != nullptr) {
       FilterTransformCache::Key key;
       key.weights = opts.fc.key != nullptr
@@ -119,13 +119,12 @@ void conv2d_gamma_host_indirect(std::span<const ImageView> images,
       key.version = opts.fc.version;
       key.alpha = cfg.alpha;
       key.r = cfg.r;
-      key.deconv = opts.fc.deconv;
+      key.kind = opts.fc.kind;
       ghat = opts.fc.cache->get_or_compute(
           key, [&] { return transform_filter_host(w, s, cfg); });
     } else {
       filter_transform_misses().add();
-      ghat = std::make_shared<const std::vector<float>>(
-          transform_filter_host(w, s, cfg));
+      ghat = std::make_shared<const TensorF>(transform_filter_host(w, s, cfg));
     }
     call_memo.emplace_back(key_geom, std::move(ghat));
     return call_memo.back().second->data();

@@ -26,6 +26,10 @@ namespace iwg::nn {
 
 /// A trainable parameter with its gradient accumulator.
 ///
+/// `grad` stays empty until the first accumulation or zero_grad(), so an
+/// inference-only model carries no gradient storage; an empty `grad` reads
+/// as zero.
+///
 /// `version` must be bumped by anything that mutates `value` after
 /// construction (the optimizers, weight loading): it keys the host engine's
 /// FilterTransformCache, so a stale transform can never be served after an
@@ -36,12 +40,22 @@ struct Param {
   TensorF grad;
   std::uint64_t version = 0;
 
-  void zero_grad() { grad.fill(0.0f); }
+  /// `grad`, allocated as zeros shaped like `value` on first use.
+  TensorF& ensure_grad() {
+    if (grad.empty()) {
+      std::vector<std::int64_t> dims(static_cast<std::size_t>(value.rank()));
+      for (int i = 0; i < value.rank(); ++i) dims[i] = value.dim(i);
+      grad.reset(dims);
+    }
+    return grad;
+  }
+  void zero_grad() { ensure_grad().fill(0.0f); }
 };
 
 /// Which convolution algorithm the framework uses (§6.3: Alpha integrates
-/// Im2col-Winograd for unit-stride convolution and deconvolution; other
-/// algorithms handle the non-unit-stride cases).
+/// Im2col-Winograd for unit-stride convolution and deconvolution). kWinograd
+/// also runs stride-2 forward convolutions on the Γ engine through the
+/// space-to-depth rewrite; kGemm is implicit GEMM throughout.
 enum class ConvEngine { kWinograd, kGemm };
 
 /// NHWC activation dims used for graph-build shape propagation. Layers that
@@ -54,8 +68,9 @@ struct Dims4 {
 };
 
 /// Graph-build plan pre-resolution (§5.7 "find once" at build time): walks
-/// the model with symbolic shapes so every unit-stride Winograd convolution
-/// can tune — or load — its plan from a PlanCache before the first batch.
+/// the model with symbolic shapes so every Winograd convolution (stride-2
+/// layers through their rewritten unit-stride shape) can tune — or load —
+/// its plan from a PlanCache before the first batch.
 struct AutotuneContext {
   const sim::DeviceProfile* dev = nullptr;  ///< required
   core::PlanCache* cache = nullptr;         ///< nullptr → PlanCache::global()

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "common/arena.hpp"
 #include "common/thread_pool.hpp"
 #include "core/conv_api.hpp"
 #include "core/filter_cache.hpp"
@@ -26,8 +27,8 @@ core::ConvOptions options_for(ConvEngine engine) {
   return opts;
 }
 
-/// dX of a stride-s convolution (scatter form; used for s == 2 layers where
-/// the paper also falls back to non-Winograd algorithms).
+/// dX of a stride-s convolution (scatter form; the stride-2 backward pass
+/// has no Winograd path).
 TensorF deconv_strided(const TensorF& dy, const TensorF& w, const ConvShape& s,
                        std::int64_t stride) {
   const std::int64_t oh = dy.dim(1);
@@ -103,11 +104,9 @@ Conv2D::Conv2D(std::int64_t in_ch, std::int64_t out_ch, std::int64_t fsize,
   IWG_CHECK(stride == 1 || stride == 2);
   w_.name = label_ + ".w";
   w_.value.reset({out_ch, fsize, fsize, in_ch});
-  w_.grad.reset({out_ch, fsize, fsize, in_ch});
   kaiming_uniform(w_.value, in_ch * fsize * fsize, rng);
   b_.name = label_ + ".b";
   b_.value.reset({out_ch});
-  b_.grad.reset({out_ch});
 }
 
 Conv2D::~Conv2D() {
@@ -121,22 +120,29 @@ ConvShape Conv2D::shape_for(const TensorF& x) const {
                    .fw = fsize_, .ph = pad_, .pw = pad_};
 }
 
+ConvShape Conv2D::engine_shape(const ConvShape& s) const {
+  return stride_ == 1 ? s : core::space_to_depth_shape(s);
+}
+
 TensorF Conv2D::apply(const TensorF& x, const ConvShape& s) const {
   TensorF y;
-  if (stride_ == 1) {
+  if (stride_ != 1 && engine_ == ConvEngine::kGemm) {
+    // The scalar reference stays the kGemm engine's strided path: it is
+    // what the Winograd engine's rewrite is checked against.
+    y = ref::conv2d_implicit_gemm_strided(x, w_.value, s, stride_, stride_);
+  } else {
     // Param storage is stable and `version` is bumped on every update, so
     // the forward, the backward, and every later call until the next
     // optimizer step share one filter transform per Γ geometry.
     core::ConvOptions opts = options_for(engine_);
     opts.filter_cache = &core::FilterTransformCache::global();
     opts.weights_version = w_.version;
-    if (tuned_ && s == tuned_shape_) {
-      y = core::conv2d(x, w_.value, s, tuned_->executable_plan(s), opts);
-    } else {
-      y = core::conv2d(x, w_.value, s, opts);
-    }
-  } else {
-    y = ref::conv2d_implicit_gemm_strided(x, w_.value, s, stride_, stride_);
+    const ConvShape es = engine_shape(s);
+    const std::vector<core::Segment> plan =
+        tuned_ && es == tuned_shape_ ? tuned_->executable_plan(es)
+                                     : core::plan_for(es, opts);
+    y = stride_ == 1 ? core::conv2d(x, w_.value, s, plan, opts)
+                     : core::conv2d_stride2(x, w_.value, s, plan, opts);
   }
   // Bias.
   const std::int64_t oc = y.dim(3);
@@ -163,27 +169,48 @@ TensorF Conv2D::infer(const TensorF& x) const { return apply(x, shape_for(x)); }
 
 std::vector<TensorF> Conv2D::infer_ragged(
     const std::vector<TensorF>& xs) const {
-  // Strided layers have no indirect path — keep the per-image baseline.
-  if (stride_ != 1 || xs.empty()) return Layer::infer_ragged(xs);
+  // The kGemm engine's strided path is the scalar reference, which has no
+  // indirect form — keep the per-image baseline there.
+  if (xs.empty() || (stride_ != 1 && engine_ == ConvEngine::kGemm)) {
+    return Layer::infer_ragged(xs);
+  }
   const std::int64_t oc = w_.value.dim(0);
   // Dispatch-wide geometry (channels/filter/padding); spatial extents are
   // per image. plan_for never sees N, and the indirect entry reuses the
   // dense task bodies, so each image's output matches batch-1 infer() bit
-  // for bit.
-  const ConvShape geom = shape_for(xs.front());
+  // for bit. A stride-2 image enters as its space-to-depth gather, which
+  // lives in this scope of the calling thread's arena.
+  ScratchArena& arena = ScratchArena::local();
+  const ScratchArena::Scope scope(arena);
+  const ConvShape geom = engine_shape(shape_for(xs.front()));
   std::vector<TensorF> ys(xs.size());
   std::vector<core::ImageView> views(xs.size());
   for (std::size_t i = 0; i < xs.size(); ++i) {
     const ConvShape si = shape_for(xs[i]);
     IWG_CHECK_MSG(si.n == 1, "infer_ragged expects one image per tensor");
-    ys[i].reset({1, si.oh(), si.ow(), oc});
-    views[i] = core::ImageView{xs[i].data(), ys[i].data(), si.ih, si.iw};
+    const ConvShape ei = engine_shape(si);
+    const float* x = xs[i].data();
+    if (stride_ != 1) {
+      float* gathered = arena.alloc_floats(
+          static_cast<std::size_t>(ei.ih * ei.iw * ei.ic));
+      core::space_to_depth_input(x, si, gathered);
+      x = gathered;
+    }
+    ys[i].reset({1, ei.oh(), ei.ow(), oc});
+    views[i] = core::ImageView{x, ys[i].data(), ei.ih, ei.iw};
   }
   core::IndirectOptions opts;
   opts.use_winograd = engine_ == ConvEngine::kWinograd;
   opts.fc.cache = &core::FilterTransformCache::global();
   opts.fc.version = w_.version;
-  core::conv2d_gamma_host_indirect(views, w_.value, geom, opts);
+  std::shared_ptr<const TensorF> w(std::shared_ptr<const TensorF>(),
+                                   &w_.value);
+  if (stride_ != 1) {
+    w = core::space_to_depth_filter(w_.value, opts.fc.cache, w_.version);
+    opts.fc.key = w_.value.data();
+    opts.fc.kind = core::FilterKind::kSpaceToDepth;
+  }
+  core::conv2d_gamma_host_indirect(views, *w, geom, opts);
   for (TensorF& y : ys) {
     const std::int64_t pixels = y.size() / oc;
     for (std::int64_t m = 0; m < pixels; ++m) {
@@ -195,45 +222,35 @@ std::vector<TensorF> Conv2D::infer_ragged(
 }
 
 Dims4 Conv2D::pretune(const Dims4& in, AutotuneContext& ctx) {
-  ConvShape s;
-  s.n = in.n;
-  s.ih = in.h;
-  s.iw = in.w;
-  s.ic = in.c;
-  s.oc = w_.value.dim(0);
-  s.fh = fsize_;
-  s.fw = fsize_;
-  s.ph = pad_;
-  s.pw = pad_;
-  Dims4 out;
-  out.n = in.n;
-  out.h = (in.h + 2 * pad_ - fsize_) / stride_ + 1;
-  out.w = (in.w + 2 * pad_ - fsize_) / stride_ + 1;
-  out.c = s.oc;
-  // Only unit-stride Winograd layers go through the tuned path; strided
-  // layers always run the GEMM fallback, and the kGemm engine is the
-  // baseline configuration the training experiments compare against.
-  if (stride_ == 1 && engine_ == ConvEngine::kWinograd && ctx.dev != nullptr) {
+  const ConvShape es = engine_shape(
+      ConvShape{.n = in.n, .ih = in.h, .iw = in.w, .ic = in.c,
+                .oc = w_.value.dim(0), .fh = fsize_, .fw = fsize_,
+                .ph = pad_, .pw = pad_});
+  // The kGemm engine is the baseline configuration the training
+  // experiments compare against; it never runs a tuned plan.
+  if (engine_ == ConvEngine::kWinograd && ctx.dev != nullptr) {
     core::PlanCache& cache =
         ctx.cache != nullptr ? *ctx.cache : core::PlanCache::global();
-    tuned_ = cache.get_or_tune(s, *ctx.dev, ctx.samples,
+    tuned_ = cache.get_or_tune(es, *ctx.dev, ctx.samples,
                                core::TuningBudget{ctx.max_candidates});
-    tuned_shape_ = s;
+    tuned_shape_ = es;
     ++ctx.resolved;
   }
-  return out;
+  return Dims4{.n = in.n, .h = es.oh(), .w = es.ow(), .c = es.oc};
 }
 
 TensorF Conv2D::backward(const TensorF& dy) {
   IWG_CHECK(!x_cache_.empty());
   // db
+  TensorF& db = b_.ensure_grad();
   const std::int64_t oc = dy.dim(3);
   const std::int64_t pixels = dy.size() / oc;
   for (std::int64_t m = 0; m < pixels; ++m) {
     const float* row = dy.data() + m * oc;
-    for (std::int64_t c = 0; c < oc; ++c) b_.grad[c] += row[c];
+    for (std::int64_t c = 0; c < oc; ++c) db[c] += row[c];
   }
   // dw and dx
+  TensorF& gw = w_.ensure_grad();
   if (stride_ == 1) {
     // The Winograd engine also accelerates the weight-gradient correlation
     // (library extension — see conv2d_filter_grad_winograd).
@@ -242,7 +259,7 @@ TensorF Conv2D::backward(const TensorF& dy) {
     const TensorF dw =
         wino_dw ? core::conv2d_filter_grad_winograd(x_cache_, dy, shape_)
                 : ref::conv2d_filter_grad_gemm(x_cache_, dy, shape_);
-    for (std::int64_t i = 0; i < dw.size(); ++i) w_.grad[i] += dw[i];
+    for (std::int64_t i = 0; i < dw.size(); ++i) gw[i] += dw[i];
     if (engine_ == ConvEngine::kWinograd) {
       core::ConvOptions opts = options_for(engine_);
       opts.filter_cache = &core::FilterTransformCache::global();
@@ -252,7 +269,7 @@ TensorF Conv2D::backward(const TensorF& dy) {
     return ref::deconv2d_implicit_gemm(dy, w_.value, shape_);
   }
   const TensorF dw = filter_grad_strided(x_cache_, dy, shape_, stride_);
-  for (std::int64_t i = 0; i < dw.size(); ++i) w_.grad[i] += dw[i];
+  for (std::int64_t i = 0; i < dw.size(); ++i) gw[i] += dw[i];
   return deconv_strided(dy, w_.value, shape_, stride_);
 }
 
@@ -264,10 +281,8 @@ BatchNorm2D::BatchNorm2D(std::int64_t channels, float momentum, float eps)
   gamma_.name = "bn.gamma";
   gamma_.value.reset({channels});
   gamma_.value.fill(1.0f);
-  gamma_.grad.reset({channels});
   beta_.name = "bn.beta";
   beta_.value.reset({channels});
-  beta_.grad.reset({channels});
   running_mean_.reset({channels});
   running_var_.reset({channels});
   running_var_.fill(1.0f);
@@ -335,6 +350,8 @@ TensorF BatchNorm2D::infer(const TensorF& x) const {
 TensorF BatchNorm2D::backward(const TensorF& dy) {
   IWG_CHECK(!xhat_.empty());
   const std::int64_t m = count_;
+  TensorF& dgamma = gamma_.ensure_grad();
+  TensorF& dbeta = beta_.ensure_grad();
   TensorF dx(std::vector<std::int64_t>{dy.dim(0), dy.dim(1), dy.dim(2),
                                        dy.dim(3)});
   for (std::int64_t c = 0; c < channels_; ++c) {
@@ -345,8 +362,8 @@ TensorF BatchNorm2D::backward(const TensorF& dy) {
       sum_dy += g;
       sum_dy_xhat += g * xhat_[i * channels_ + c];
     }
-    gamma_.grad[c] += static_cast<float>(sum_dy_xhat);
-    beta_.grad[c] += static_cast<float>(sum_dy);
+    dgamma[c] += static_cast<float>(sum_dy_xhat);
+    dbeta[c] += static_cast<float>(sum_dy);
     const float inv = inv_std_[static_cast<std::size_t>(c)];
     const float k1 = static_cast<float>(sum_dy / static_cast<double>(m));
     const float k2 = static_cast<float>(sum_dy_xhat / static_cast<double>(m));
@@ -566,11 +583,9 @@ Linear::Linear(std::int64_t in_dim, std::int64_t out_dim, Rng& rng,
     : label_(std::move(label)) {
   w_.name = label_ + ".w";
   w_.value.reset({in_dim, out_dim});
-  w_.grad.reset({in_dim, out_dim});
   kaiming_uniform(w_.value, in_dim, rng);
   b_.name = label_ + ".b";
   b_.value.reset({out_dim});
-  b_.grad.reset({out_dim});
 }
 
 TensorF Linear::forward(const TensorF& x, bool train) {
@@ -624,14 +639,16 @@ TensorF Linear::backward(const TensorF& dy) {
   const std::int64_t d = w_.value.dim(0);
   const std::int64_t m = w_.value.dim(1);
   // db, dw
+  TensorF& db = b_.ensure_grad();
+  TensorF& dw = w_.ensure_grad();
   for (std::int64_t i = 0; i < n; ++i) {
     const float* gr = dy.data() + i * m;
-    for (std::int64_t j = 0; j < m; ++j) b_.grad[j] += gr[j];
+    for (std::int64_t j = 0; j < m; ++j) db[j] += gr[j];
     const float* xr = x_cache_.data() + i * d;
     for (std::int64_t k = 0; k < d; ++k) {
       const float xv = xr[k];
       if (xv == 0.0f) continue;
-      float* wg = w_.grad.data() + k * m;
+      float* wg = dw.data() + k * m;
       for (std::int64_t j = 0; j < m; ++j) wg[j] += xv * gr[j];
     }
   }

@@ -16,8 +16,10 @@ namespace iwg::nn {
 void kaiming_uniform(TensorF& w, std::int64_t fan_in, Rng& rng);
 
 /// 2-D convolution, NHWC, square filter, stride 1 or 2.
-/// Unit-stride layers run on the configured engine (Winograd or GEMM);
-/// strided layers always fall back to implicit GEMM, as in the paper.
+/// Unit-stride layers run on the configured engine (Winograd or GEMM).
+/// Stride-2 layers under kWinograd run the same engine through the
+/// space-to-depth rewrite (core::conv2d_stride2); under kGemm they keep the
+/// scalar implicit-GEMM reference, so the two engines stay independent.
 class Conv2D final : public Layer {
  public:
   Conv2D(std::int64_t in_ch, std::int64_t out_ch, std::int64_t fsize,
@@ -31,17 +33,19 @@ class Conv2D final : public Layer {
   std::string name() const override { return label_; }
   TensorF forward(const TensorF& x, bool train) override;
   TensorF infer(const TensorF& x) const override;
-  /// Mixed-shape batch: every unit-stride image runs in ONE indirect Γ
-  /// dispatch (conv2d_gamma_host_indirect); strided layers fall back to the
-  /// per-image default. Bitwise identical per image to infer().
+  /// Mixed-shape batch: every image runs in ONE indirect Γ dispatch
+  /// (conv2d_gamma_host_indirect), stride-2 images as their space-to-depth
+  /// gathers; stride-2 kGemm layers fall back to the per-image default.
+  /// Bitwise identical per image to infer().
   std::vector<TensorF> infer_ragged(
       const std::vector<TensorF>& xs) const override;
   TensorF backward(const TensorF& dy) override;
   std::vector<Param*> params() override { return {&w_, &b_}; }
   std::int64_t activation_bytes() const override { return x_cache_.size() * 4; }
 
-  /// Resolves this layer's plan from the context's PlanCache (unit-stride
-  /// Winograd layers only) and returns the output dims.
+  /// Resolves this layer's plan from the context's PlanCache (kWinograd
+  /// layers; stride-2 layers tune their rewritten shape) and returns the
+  /// output dims.
   Dims4 pretune(const Dims4& in, AutotuneContext& ctx) override;
 
   /// The pre-resolved choice, if pretune ran (exposed for tests/reports).
@@ -51,6 +55,9 @@ class Conv2D final : public Layer {
 
  private:
   ConvShape shape_for(const TensorF& x) const;
+  /// The unit-stride shape the engine runs for layer geometry `s`: `s`
+  /// itself at stride 1, its space-to-depth rewrite at stride 2.
+  ConvShape engine_shape(const ConvShape& s) const;
   /// The pure convolution + bias computation shared by forward and infer.
   TensorF apply(const TensorF& x, const ConvShape& s) const;
 

@@ -33,7 +33,7 @@ class Model {
   TensorF backward(const TensorF& dloss);
 
   /// Graph-build plan pre-resolution (§5.7): propagate the batch geometry
-  /// through every layer and resolve each unit-stride Winograd conv's plan
+  /// through every layer and resolve each kWinograd conv's plan
   /// via ctx's PlanCache (load a plan DB into the cache first for a "find
   /// once, deploy many" flow). Returns the number of conv layers resolved.
   int pretune(std::int64_t batch, std::int64_t image_size,

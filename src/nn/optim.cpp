@@ -11,8 +11,9 @@ void Sgdm::step(const std::vector<Param*>& params) {
       vel.reset(std::vector<std::int64_t>(
           {p->value.size()}));
     }
+    const TensorF& grad = p->ensure_grad();
     for (std::int64_t i = 0; i < p->value.size(); ++i) {
-      vel[i] = momentum_ * vel[i] + p->grad[i];
+      vel[i] = momentum_ * vel[i] + grad[i];
       p->value[i] -= lr_ * vel[i];
     }
     ++p->version;
@@ -30,8 +31,9 @@ void Adam::step(const std::vector<Param*>& params) {
       m.reset(std::vector<std::int64_t>({p->value.size()}));
       v.reset(std::vector<std::int64_t>({p->value.size()}));
     }
+    const TensorF& grad = p->ensure_grad();
     for (std::int64_t i = 0; i < p->value.size(); ++i) {
-      const float g = p->grad[i];
+      const float g = grad[i];
       m[i] = beta1_ * m[i] + (1.0f - beta1_) * g;
       v[i] = beta2_ * v[i] + (1.0f - beta2_) * g * g;
       const float mh = m[i] / bc1;

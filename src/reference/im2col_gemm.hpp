@@ -40,8 +40,9 @@ TensorF conv2d_im2col_gemm_tf32(const TensorF& x, const TensorF& w,
 TensorF conv2d_implicit_gemm(const TensorF& x, const TensorF& w,
                              const ConvShape& s);
 
-/// Strided convolution via implicit GEMM (the framework's fallback for
-/// non-unit-stride layers, which Im2col-Winograd does not target).
+/// Strided convolution via implicit GEMM: the kGemm engine's stride-2 path
+/// and the independent reference for core::conv2d_stride2, which runs
+/// stride-2 layers on the Im2col-Winograd engine by space-to-depth.
 TensorF conv2d_implicit_gemm_strided(const TensorF& x, const TensorF& w,
                                      const ConvShape& s, std::int64_t sh,
                                      std::int64_t sw);

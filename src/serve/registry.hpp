@@ -4,7 +4,7 @@
 //
 // Registration warms a replica BEFORE it becomes findable: an optional plan
 // DB is merged into the PlanCache (the "find once, deploy many" flow),
-// Model::pretune resolves every unit-stride conv's plan chain for the
+// Model::pretune resolves every Winograd conv's plan chain for the
 // tenant's batch geometry, and one throwaway batch populates the
 // FilterTransformCache — so the first real request a tenant serves pays
 // neither tuning nor transform latency.
@@ -19,7 +19,7 @@
 //     3. weight_epoch++ and unlock        — dispatch resumes on new weights.
 //
 // The FilterTransformCache is keyed on (weights address, Param::version,
-// α, r, deconv), so the version bump IS the invalidation: the first post-
+// α, r, kind), so the version bump IS the invalidation: the first post-
 // swap batch misses, computes the new ĝ, and the miss path drops the stale
 // versions of the same weights. Batches that were in flight during step 1
 // already finished on the old transforms — no request is ever dropped or

@@ -11,8 +11,8 @@ namespace iwg {
 /// Geometry of a unit-stride 2-D convolution with zero padding.
 ///
 /// OH = IH + 2*ph − FH + 1, OW = IW + 2*pw − FW + 1 (stride 1 throughout —
-/// the paper's kernels target unit stride; the framework falls back to GEMM
-/// for strided layers).
+/// the paper's kernels target unit stride; stride-2 layers reach them
+/// through core::space_to_depth_shape).
 struct ConvShape {
   std::int64_t n = 1;    ///< batch size N
   std::int64_t ih = 1;   ///< input height

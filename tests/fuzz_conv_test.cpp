@@ -4,6 +4,9 @@
 // (determinism).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "common/rng.hpp"
 #include "core/conv_api.hpp"
 #include "core/host_kernels.hpp"
@@ -175,6 +178,62 @@ TEST(FuzzConv, RandomIsaSelectorRoutedPlansMatchFp64Direct) {
     EXPECT_LT(average_relative_error(got, want), tol)
         << "trial " << trial << " isa " << host_isa_name(isa) << " shape "
         << s.to_string() << " plan " << choice.description;
+  }
+}
+
+// Stride-2 mode: random filters (1..7 per axis, so P = 1 or 2 phases and
+// rewritten widths 1..4), pads and odd/even extents through the
+// space-to-depth rewrite, on every ISA this build carries. The reference is
+// the FP64 direct convolution at stride 1, subsampled at even positions.
+TEST(FuzzConv, Stride2RewriteMatchesSubsampledFp64DirectOnEveryIsa) {
+  struct IsaRestore {
+    HostIsa prev = host_isa();
+    ~IsaRestore() { set_host_isa(prev); }
+  } restore;
+  for (const HostIsa isa : host_isa_available()) {
+    ASSERT_TRUE(set_host_isa(isa));
+    Rng rng(20200204);
+    for (int trial = 0; trial < 24; ++trial) {
+      ConvShape s;
+      s.fh = 1 + static_cast<std::int64_t>(rng.below(7));
+      s.fw = 1 + static_cast<std::int64_t>(rng.below(7));
+      s.ph = static_cast<std::int64_t>(
+          rng.below(static_cast<std::uint64_t>(s.fh)));
+      s.pw = static_cast<std::int64_t>(
+          rng.below(static_cast<std::uint64_t>(s.fw)));
+      s.n = 1 + static_cast<std::int64_t>(rng.below(2));
+      s.ic = 1 + static_cast<std::int64_t>(rng.below(9));
+      s.oc = 1 + static_cast<std::int64_t>(rng.below(9));
+      s.ih = s.fh + static_cast<std::int64_t>(rng.below(12));
+      s.iw = s.fw + static_cast<std::int64_t>(rng.below(24));
+      s.validate();
+      Rng data(9000 + static_cast<unsigned>(trial));
+      TensorF x({s.n, s.ih, s.iw, s.ic});
+      x.fill_uniform(data, -1.0f, 1.0f);
+      TensorF w({s.oc, s.fh, s.fw, s.ic});
+      w.fill_uniform(data, -1.0f, 1.0f);
+      const TensorF got = conv2d_stride2(x, w, s);
+      const TensorD full = ref::conv2d_direct_fp64(x, w, s);
+      const std::int64_t oh = (s.oh() + 1) / 2;
+      const std::int64_t ow = (s.ow() + 1) / 2;
+      ASSERT_EQ(got.dim(1), oh) << s.to_string();
+      ASSERT_EQ(got.dim(2), ow) << s.to_string();
+      double worst = 0.0;
+      for (std::int64_t ni = 0; ni < s.n; ++ni) {
+        for (std::int64_t h = 0; h < oh; ++h) {
+          for (std::int64_t wo = 0; wo < ow; ++wo) {
+            for (std::int64_t c = 0; c < s.oc; ++c) {
+              const double want = full.at(ni, 2 * h, 2 * wo, c);
+              const double d = std::abs(got.at(ni, h, wo, c) - want);
+              worst = std::max(worst, d / (1.0 + std::abs(want)));
+            }
+          }
+        }
+      }
+      EXPECT_LT(worst, 5e-4) << "isa " << host_isa_name(isa) << " trial "
+                             << trial << " shape " << s.to_string()
+                             << " pad " << s.ph << "," << s.pw;
+    }
   }
 }
 

@@ -53,7 +53,8 @@ TEST(FilterTransformCache, HitReturnsSameTransform) {
   const ConvShape s = small_shape();
   const TensorF w = rand_tensor({s.oc, s.fh, s.fw, s.ic}, 1);
   const GammaConfig cfg = GammaConfig::make(8, 6, 3);
-  FilterTransformCache::Key key{w.data(), 7, cfg.alpha, cfg.r, false};
+  FilterTransformCache::Key key{w.data(), 7, cfg.alpha, cfg.r,
+                                FilterKind::kForward};
   int computes = 0;
   auto compute = [&] {
     ++computes;
@@ -71,7 +72,8 @@ TEST(FilterTransformCache, NewVersionRecomputesAndPurgesStale) {
   const ConvShape s = small_shape();
   TensorF w = rand_tensor({s.oc, s.fh, s.fw, s.ic}, 2);
   const GammaConfig cfg = GammaConfig::make(8, 6, 3);
-  FilterTransformCache::Key key{w.data(), 0, cfg.alpha, cfg.r, false};
+  FilterTransformCache::Key key{w.data(), 0, cfg.alpha, cfg.r,
+                                FilterKind::kForward};
   auto compute = [&] { return transform_filter_host(w, s, cfg); };
   const auto v0 = cache.get_or_compute(key, compute);
   w[0] += 1.0f;  // mutate weights, bump version
@@ -88,12 +90,12 @@ TEST(FilterTransformCache, DistinctGeometriesCoexist) {
   const TensorF w = rand_tensor({s.oc, s.fh, s.fw, s.ic}, 3);
   const GammaConfig a = GammaConfig::make(8, 6, 3);
   const GammaConfig b = GammaConfig::make(4, 2, 3);
-  cache.get_or_compute({w.data(), 0, a.alpha, a.r, false},
+  cache.get_or_compute({w.data(), 0, a.alpha, a.r, FilterKind::kForward},
                        [&] { return transform_filter_host(w, s, a); });
-  cache.get_or_compute({w.data(), 0, b.alpha, b.r, false},
+  cache.get_or_compute({w.data(), 0, b.alpha, b.r, FilterKind::kForward},
                        [&] { return transform_filter_host(w, s, b); });
   // Deconv transform of the same weights is a third, separate entry.
-  cache.get_or_compute({w.data(), 0, a.alpha, a.r, true},
+  cache.get_or_compute({w.data(), 0, a.alpha, a.r, FilterKind::kDeconv},
                        [&] { return transform_filter_host(w, s, a); });
   EXPECT_EQ(cache.size(), 3u);
 }
@@ -106,9 +108,12 @@ TEST(FilterTransformCache, InvalidateDropsAllEntriesOfWeights) {
   const GammaConfig cfg = GammaConfig::make(8, 6, 3);
   auto c1 = [&] { return transform_filter_host(w1, s, cfg); };
   auto c2 = [&] { return transform_filter_host(w2, s, cfg); };
-  cache.get_or_compute({w1.data(), 0, cfg.alpha, cfg.r, false}, c1);
-  cache.get_or_compute({w1.data(), 0, cfg.alpha, cfg.r, true}, c1);
-  cache.get_or_compute({w2.data(), 0, cfg.alpha, cfg.r, false}, c2);
+  cache.get_or_compute(
+      {w1.data(), 0, cfg.alpha, cfg.r, FilterKind::kForward}, c1);
+  cache.get_or_compute({w1.data(), 0, cfg.alpha, cfg.r, FilterKind::kDeconv},
+                       c1);
+  cache.get_or_compute(
+      {w2.data(), 0, cfg.alpha, cfg.r, FilterKind::kForward}, c2);
   cache.invalidate(w1.data());
   EXPECT_EQ(cache.size(), 1u);  // only w2's entry survives
   cache.clear();
@@ -123,7 +128,7 @@ TEST(FilterTransformCache, LruEvictionBoundsSize) {
   for (int i = 0; i < 5; ++i) {
     ws.push_back(rand_tensor({s.oc, s.fh, s.fw, s.ic}, 10 + i));
     cache.get_or_compute(
-        {ws.back().data(), 0, cfg.alpha, cfg.r, false},
+        {ws.back().data(), 0, cfg.alpha, cfg.r, FilterKind::kForward},
         [&] { return transform_filter_host(ws.back(), s, cfg); });
     EXPECT_LE(cache.size(), 2u);
   }
@@ -139,7 +144,8 @@ TEST(FilterTransformCache, MissCounterCountsDistinctVersionConfigPairs) {
   auto compute = [&] { return transform_filter_host(w, s, cfg); };
   for (std::uint64_t v = 0; v < 3; ++v) {
     for (int rep = 0; rep < 4; ++rep) {
-      cache.get_or_compute({w.data(), v, cfg.alpha, cfg.r, false}, compute);
+      cache.get_or_compute(
+          {w.data(), v, cfg.alpha, cfg.r, FilterKind::kForward}, compute);
     }
   }
   EXPECT_EQ(filter_transform_misses().value() - miss0, 3);

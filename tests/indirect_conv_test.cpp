@@ -4,7 +4,9 @@
 // construction — both paths run detail::gamma_tile_column / detail::gemm_row
 // over the per-class §5.5 plan — and these tests pin that contract across
 // filter widths (α = 4..16 plans), ragged H/W mixes, GEMM-only execution,
-// and every host ISA this build carries.
+// and every host ISA this build carries. Stride-2 nn::Conv2D layers enter
+// the same dispatch as their space-to-depth gathers and hold the same
+// contract against batch-1 infer().
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -16,6 +18,7 @@
 #include "core/filter_cache.hpp"
 #include "core/host_kernels.hpp"
 #include "core/indirect.hpp"
+#include "nn/layers.hpp"
 #include "tensor/tensor.hpp"
 
 namespace iwg::core {
@@ -207,6 +210,49 @@ TEST(IndirectConv, TableLayoutSharedZeroRowAndClassMapping) {
         EXPECT_EQ(row, nullptr) << "image " << i << " pad row " << ihp;
       }
     }
+  }
+}
+
+// A ragged batch through a stride-2 Conv2D: every image, odd and even
+// extents mixed, must equal infer() on that image alone bit for bit.
+void check_stride2_layer_parity(std::int64_t fsize, std::int64_t pad,
+                                const std::string& what) {
+  Rng rng(4242);
+  nn::Conv2D conv(5, 7, fsize, /*stride=*/2, pad, nn::ConvEngine::kWinograd,
+                  rng);
+  const std::vector<std::pair<std::int64_t, std::int64_t>> sizes = {
+      {8, 8}, {7, 11}, {8, 8}, {12, 6}, {9, 16}, {7, 11}};
+  std::vector<TensorF> xs;
+  Rng data(77);
+  for (const auto& [ih, iw] : sizes) {
+    TensorF x({1, ih, iw, 5});
+    x.fill_uniform(data, -1.0f, 1.0f);
+    xs.push_back(std::move(x));
+  }
+  const std::vector<TensorF> ys = conv.infer_ragged(xs);
+  ASSERT_EQ(ys.size(), xs.size());
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    expect_bitwise(ys[i], conv.infer(xs[i]),
+                   what + " image " + std::to_string(i));
+  }
+}
+
+TEST(IndirectConv, Stride2LayerRaggedMatchesInferBitwise) {
+  for (const std::int64_t f : {1, 2, 3, 5}) {
+    check_stride2_layer_parity(f, f / 2, "f=" + std::to_string(f));
+  }
+  check_stride2_layer_parity(3, 0, "f=3 pad 0");
+}
+
+TEST(IndirectConv, Stride2LayerRaggedParityOnEveryHostIsa) {
+  struct IsaRestore {
+    HostIsa prev = host_isa();
+    ~IsaRestore() { set_host_isa(prev); }
+  } restore;
+  for (const HostIsa isa : host_isa_available()) {
+    ASSERT_TRUE(set_host_isa(isa));
+    check_stride2_layer_parity(3, 1,
+                               std::string("isa=") + host_isa_name(isa));
   }
 }
 

@@ -206,6 +206,28 @@ TEST(Training, PretuneResolvesConvPlansAtGraphBuild) {
   for (std::int64_t i = 0; i < y_tuned.size(); ++i) {
     EXPECT_NEAR(y_tuned[i], y_plain[i], 1e-2f) << i;
   }
+
+  // ResNet18 at 16×16 has two stride-2 stages (3×3 conv + 1×1 projection
+  // each); they tune their space-to-depth shapes, so every conv resolves.
+  mc.image_size = 16;
+  Model resnet = make_resnet(18, mc);
+  std::int64_t convs = 0;
+  for (const Param* p : resnet.params()) convs += p->value.rank() == 4;
+  AutotuneContext rctx = ctx;
+  rctx.resolved = 0;
+  const auto rbefore = cache.stats();
+  EXPECT_EQ(resnet.pretune(2, 16, 3, rctx), convs);
+  EXPECT_EQ(cache.stats().lookups - rbefore.lookups, convs);
+
+  const auto rds = data::make_cifar_like(16, 6, /*size=*/16);
+  const TensorF rx = rds.batch(0, 2, labels);
+  Model runtuned = make_resnet(18, mc);
+  const TensorF r_tuned = resnet.infer(rx);
+  const TensorF r_plain = runtuned.infer(rx);
+  ASSERT_TRUE(r_tuned.same_shape(r_plain));
+  for (std::int64_t i = 0; i < r_tuned.size(); ++i) {
+    EXPECT_NEAR(r_tuned[i], r_plain[i], 1e-2f) << i;
+  }
 }
 
 TEST(Training, WinogradAndGemmEnginesConvergeTogether) {
