@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 
+#include "common/trace.hpp"
+
 namespace iwg {
 
 namespace {
@@ -15,10 +17,19 @@ std::atomic<std::size_t> g_max_high_water{0};
 std::atomic<std::uint64_t> g_trim_epoch{0};
 std::atomic<std::size_t> g_trim_keep{0};
 
+// Records each rise of the process-wide maximum into
+// `host.arena.high_water_bytes`, whose max is therefore the high-water mark.
 void raise_global_high_water(std::size_t hw) {
   std::size_t cur = g_max_high_water.load(std::memory_order_relaxed);
-  while (hw > cur && !g_max_high_water.compare_exchange_weak(
-                         cur, hw, std::memory_order_relaxed)) {
+  while (hw > cur) {
+    if (g_max_high_water.compare_exchange_weak(cur, hw,
+                                               std::memory_order_relaxed)) {
+      static trace::Histogram& rises =
+          trace::MetricsRegistry::global().histogram(
+              "host.arena.high_water_bytes");
+      rises.record(static_cast<double>(hw));
+      return;
+    }
   }
 }
 

@@ -13,8 +13,9 @@
 // α·(FH·IC + OC) floats (transformed-input ring + state accumulator), i.e.
 // O(α·max(IC, OC)); the first 64 KiB block covers every layer in the
 // training experiments, and growth is geometric for anything larger.
-// `max_high_water()` is exported to the metrics registry
-// (`host.arena.high_water_bytes`) so arena pressure is visible in reports.
+// Every rise of `max_high_water()` is recorded into the metrics registry's
+// `host.arena.high_water_bytes` histogram (its max is the high-water mark)
+// so arena pressure is visible in reports.
 #pragma once
 
 #include <cstddef>

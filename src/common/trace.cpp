@@ -404,60 +404,6 @@ ContextScope::ContextScope(Context ctx) : prev_(g_context) { g_context = ctx; }
 ContextScope::~ContextScope() { g_context = prev_; }
 
 // ---------------------------------------------------------------------------
-// Metrics
-
-void Distribution::record(double v) {
-  std::lock_guard lock(mu_);
-  if (count_ == 0) {
-    min_ = v;
-    max_ = v;
-  } else {
-    min_ = std::min(min_, v);
-    max_ = std::max(max_, v);
-  }
-  ++count_;
-  sum_ += v;
-  if (samples_.size() < kMaxSamples) {
-    samples_.push_back(v);
-  } else {
-    // Classic reservoir replacement with a cheap deterministic LCG: every
-    // recorded value keeps a kMaxSamples/count chance of being resident.
-    rng_ = rng_ * 6364136223846793005ULL + 1442695040888963407ULL;
-    const std::uint64_t j = rng_ % static_cast<std::uint64_t>(count_);
-    if (j < kMaxSamples) samples_[static_cast<std::size_t>(j)] = v;
-  }
-}
-
-Distribution::Summary Distribution::summary() const {
-  std::lock_guard lock(mu_);
-  Summary s;
-  s.count = count_;
-  s.samples = static_cast<std::int64_t>(samples_.size());
-  s.sum = sum_;
-  s.min = min_;
-  s.max = max_;
-  if (!samples_.empty()) {
-    std::vector<double> sorted = samples_;
-    std::sort(sorted.begin(), sorted.end());
-    const auto at = [&](double q) {
-      const auto idx = static_cast<std::size_t>(
-          q * static_cast<double>(sorted.size() - 1));
-      return sorted[idx];
-    };
-    s.p50 = at(0.50);
-    s.p99 = at(0.99);
-  }
-  return s;
-}
-
-void Distribution::reset() {
-  std::lock_guard lock(mu_);
-  count_ = 0;
-  sum_ = min_ = max_ = 0.0;
-  samples_.clear();
-}
-
-// ---------------------------------------------------------------------------
 // Histogram
 
 int Histogram::bucket_index(double v) {
@@ -497,13 +443,7 @@ void atomic_extreme(std::atomic<double>& a, double v, Better better) {
 void Histogram::record(double v) {
   buckets_[static_cast<std::size_t>(bucket_index(v))].fetch_add(
       1, std::memory_order_relaxed);
-  // First recorder initializes min/max from 0: seed both with v when the
-  // count was zero. A racing second recorder still converges via the CAS
-  // extremes below.
-  if (count_.fetch_add(1, std::memory_order_relaxed) == 0) {
-    min_.store(v, std::memory_order_relaxed);
-    max_.store(v, std::memory_order_relaxed);
-  }
+  count_.fetch_add(1, std::memory_order_relaxed);
   atomic_add(sum_, v);
   atomic_extreme(min_, v, [](double a, double b) { return a < b; });
   atomic_extreme(max_, v, [](double a, double b) { return a > b; });
@@ -515,6 +455,10 @@ Histogram::Snapshot Histogram::snapshot() const {
   s.sum = sum_.load(std::memory_order_relaxed);
   s.min = min_.load(std::memory_order_relaxed);
   s.max = max_.load(std::memory_order_relaxed);
+  // Empty, a recorder between its count add and its extreme CASes (a ±∞
+  // sentinel still in place), or a torn min/max pair: report 0/0 so
+  // quantile() never clamps into an inverted range.
+  if (s.count == 0 || !(s.min <= s.max)) s.min = s.max = 0.0;
   for (int i = 0; i < kBuckets; ++i) {
     s.buckets[static_cast<std::size_t>(i)] =
         buckets_[static_cast<std::size_t>(i)].load(std::memory_order_relaxed);
@@ -525,8 +469,10 @@ Histogram::Snapshot Histogram::snapshot() const {
 void Histogram::reset() {
   count_.store(0, std::memory_order_relaxed);
   sum_.store(0.0, std::memory_order_relaxed);
-  min_.store(0.0, std::memory_order_relaxed);
-  max_.store(0.0, std::memory_order_relaxed);
+  min_.store(std::numeric_limits<double>::infinity(),
+             std::memory_order_relaxed);
+  max_.store(-std::numeric_limits<double>::infinity(),
+             std::memory_order_relaxed);
   for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
 }
 
@@ -620,13 +566,6 @@ Counter& MetricsRegistry::counter(const std::string& name) {
   return *slot;
 }
 
-Distribution& MetricsRegistry::distribution(const std::string& name) {
-  std::lock_guard lock(mu_);
-  auto& slot = distributions_[name];
-  if (!slot) slot = std::make_unique<Distribution>();
-  return *slot;
-}
-
 Histogram& MetricsRegistry::histogram(const std::string& name) {
   std::lock_guard lock(mu_);
   auto& slot = histograms_[name];
@@ -639,9 +578,6 @@ MetricsRegistry::Snapshot MetricsRegistry::snapshot() const {
   Snapshot snap;
   for (const auto& [name, c] : counters_) {
     snap.counters.emplace_back(name, c->value());
-  }
-  for (const auto& [name, d] : distributions_) {
-    snap.distributions.emplace_back(name, d->summary());
   }
   for (const auto& [name, h] : histograms_) {
     snap.histograms.emplace_back(name, h->snapshot());
@@ -659,20 +595,6 @@ std::string MetricsRegistry::text_report() const {
        << std::right << std::setw(12) << value << '\n';
   }
   os << std::setprecision(6);
-  for (const auto& [name, s] : snap.distributions) {
-    // '~' marks percentiles estimated from a saturated reservoir — a
-    // long-running process exceeds the 2^14-sample reservoir in seconds,
-    // and silently-approximate p50/p99 misled more than they informed.
-    const char* approx = s.degraded() ? "~" : "";
-    os << "dist     " << std::left << std::setw(36) << name << std::right
-       << " count=" << s.count << " sum=" << s.sum << " mean=" << s.mean()
-       << " min=" << s.min << " p50=" << approx << s.p50 << " p99=" << approx
-       << s.p99 << " max=" << s.max;
-    if (s.degraded()) {
-      os << " (~approx: " << s.samples << '/' << s.count << " samples)";
-    }
-    os << '\n';
-  }
   for (const auto& [name, h] : snap.histograms) {
     os << "hist     " << std::left << std::setw(36) << name << std::right
        << " count=" << h.count << " sum=" << h.sum << " mean=" << h.mean()
@@ -833,21 +755,6 @@ std::string MetricsRegistry::prometheus_text() const {
       os << ' ' << value << '\n';
     }
   }
-  for (const auto& [base, series] : prom_families(snap.distributions)) {
-    // Reservoir distributions export as Prometheus summaries; quantiles are
-    // approximate once the reservoir saturates (same caveat as the '~'
-    // marker in the text report).
-    help_line(os, base);
-    os << "# TYPE " << base << " summary\n";
-    for (const auto& [labels, s] : series) {
-      const std::string comma = labels.empty() ? "" : labels + ",";
-      const std::string plain = labels.empty() ? "" : "{" + labels + "}";
-      os << base << '{' << comma << "quantile=\"0.5\"} " << s.p50 << '\n';
-      os << base << '{' << comma << "quantile=\"0.99\"} " << s.p99 << '\n';
-      os << base << "_sum" << plain << ' ' << s.sum << '\n';
-      os << base << "_count" << plain << ' ' << s.count << '\n';
-    }
-  }
   for (const auto& [base, series] : prom_families(snap.histograms)) {
     help_line(os, base);
     os << "# TYPE " << base << " histogram\n";
@@ -878,7 +785,6 @@ std::string MetricsRegistry::prometheus_text() const {
 void MetricsRegistry::reset() {
   std::lock_guard lock(mu_);
   for (auto& [name, c] : counters_) c->reset();
-  for (auto& [name, d] : distributions_) d->reset();
   for (auto& [name, h] : histograms_) h->reset();
 }
 

@@ -307,10 +307,6 @@ TensorF conv2d_gamma_host(const TensorF& x, const TensorF& w,
     covered += seg.ow_len;
   }
   IWG_CHECK_MSG(covered == s.ow(), "boundary plan does not cover OW");
-  static trace::Distribution& arena_hw =
-      trace::MetricsRegistry::global().distribution(
-          "host.arena.high_water_bytes");
-  arena_hw.record(static_cast<double>(ScratchArena::max_high_water()));
   return y;
 }
 

@@ -175,7 +175,7 @@ AlgoChoice PlanCache::get_or_tune(const ConvShape& s,
   const AlgoChoice choice = select_algorithm(s, dev, samples, budget);
   const double tuned_s = timer.seconds();
   trace::MetricsRegistry::global()
-      .distribution("plan_cache.tuning_s")
+      .histogram("plan_cache.tuning_s")
       .record(tuned_s);
   if (span.active()) {
     span.arg("winner", choice.description)

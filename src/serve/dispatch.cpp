@@ -13,10 +13,6 @@ namespace iwg::serve {
 
 namespace {
 
-// Hot serve metrics are log2-bucket Histograms, not reservoir Distributions:
-// a loaded server records millions of latencies and the reservoir's
-// percentiles go silently approximate after 2^14 samples. Histogram counts
-// stay exact forever and the snapshots merge.
 trace::Histogram& batch_size_hist() {
   static trace::Histogram& h =
       trace::MetricsRegistry::global().histogram("serve.batch_size");

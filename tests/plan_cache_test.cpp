@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/thread_pool.hpp"
+#include "common/trace.hpp"
 #include "core/plan_cache.hpp"
 
 namespace iwg::core {
@@ -103,7 +104,10 @@ TEST(PlanCache, ConcurrentHammeringKeepsStatsExactlyConsistent) {
   // happens outside the shard locks (so pool workers tuning concurrently
   // cannot deadlock the nested parallel_for in the profiler) and every
   // counter update is mutexed, so hits + misses == lookups must hold
-  // exactly, and the entry count must never exceed capacity.
+  // exactly, and the entry count must never exceed capacity. Every miss
+  // records its tuning time once into the plan_cache.tuning_s histogram,
+  // whose count/sum/min must agree with the cache's own stats.
+  trace::ResetGuard guard;
   PlanCache cache(/*capacity=*/6, /*num_shards=*/2);
   const auto dev = sim::DeviceProfile::rtx3060ti();
   std::vector<ConvShape> shapes;
@@ -126,6 +130,12 @@ TEST(PlanCache, ConcurrentHammeringKeepsStatsExactlyConsistent) {
   EXPECT_GE(st.misses, 8);  // every distinct key missed at least once
   EXPECT_LE(st.entries, 6);
   EXPECT_GT(st.tuning_time_s, 0.0);
+  const auto tuning =
+      trace::MetricsRegistry::global().histogram("plan_cache.tuning_s")
+          .snapshot();
+  EXPECT_EQ(tuning.count, st.misses);
+  EXPECT_NEAR(tuning.sum, st.tuning_time_s, 1e-9 * st.tuning_time_s);
+  EXPECT_GT(tuning.min, 0.0);
 }
 
 TEST(PlanCache, SerializeClearLoadRoundTripIsByteIdentical) {

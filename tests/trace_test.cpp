@@ -4,6 +4,7 @@
 // registry's race-freedom under the global thread pool.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cctype>
 #include <cstdint>
 #include <cstdio>
@@ -400,21 +401,6 @@ TEST(Metrics, CountersAreRaceFreeUnderParallelFor) {
             0);
 }
 
-TEST(Metrics, DistributionSummaryIsExactBelowReservoirCap) {
-  Distribution d;
-  for (int i = 1; i <= 100; ++i) d.record(static_cast<double>(i));
-  const auto s = d.summary();
-  EXPECT_EQ(s.count, 100);
-  EXPECT_DOUBLE_EQ(s.sum, 5050.0);
-  EXPECT_DOUBLE_EQ(s.mean(), 50.5);
-  EXPECT_DOUBLE_EQ(s.min, 1.0);
-  EXPECT_DOUBLE_EQ(s.max, 100.0);
-  EXPECT_NEAR(s.p50, 50.0, 1.0);
-  EXPECT_NEAR(s.p99, 99.0, 1.0);
-  d.reset();
-  EXPECT_EQ(d.summary().count, 0);
-}
-
 TEST(Metrics, ResetZeroesValuesButKeepsReferencesValid) {
   Counter& c = MetricsRegistry::global().counter("test.reset_ref");
   c.add(5);
@@ -425,11 +411,12 @@ TEST(Metrics, ResetZeroesValuesButKeepsReferencesValid) {
 }
 
 TEST(Metrics, TextReportListsEveryMetric) {
+  ResetGuard guard;  // "count=1" must come from this case's histogram
   MetricsRegistry::global().counter("test.report_counter").add(3);
-  MetricsRegistry::global().distribution("test.report_dist").record(1.5);
+  MetricsRegistry::global().histogram("test.report_hist").record(1.5);
   const std::string report = MetricsRegistry::global().text_report();
   EXPECT_NE(report.find("test.report_counter"), std::string::npos);
-  EXPECT_NE(report.find("test.report_dist"), std::string::npos);
+  EXPECT_NE(report.find("test.report_hist"), std::string::npos);
   EXPECT_NE(report.find("count=1"), std::string::npos);
 }
 
@@ -703,27 +690,46 @@ TEST(Metrics, HistogramIsExactUnderParallelFor) {
   EXPECT_DOUBLE_EQ(s.max, 7.0);
 }
 
-TEST(Metrics, DistributionMarksSaturatedReservoirAsApproximate) {
-  Distribution d;
-  const auto kN =
-      static_cast<std::int64_t>(Distribution::kMaxSamples) + 1024;
-  for (std::int64_t i = 0; i < kN; ++i) {
-    d.record(static_cast<double>(i));
+TEST(Metrics, HistogramConcurrentFirstRecordsKeepExactExtremes) {
+  // Several threads recording into an empty histogram at once: no first
+  // recorder may overwrite an extreme another thread already published.
+  // Round 0 starts from construction, every later round from reset().
+  Histogram h;
+  const int kRounds = 2000;
+  const int kThreads = 4;
+  int bad_rounds = 0;
+  std::string first_bad;
+  for (int round = 0; round < kRounds; ++round) {
+    h.reset();
+    std::atomic<bool> go{false};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&h, &go, t] {
+        while (!go.load(std::memory_order_acquire)) {
+        }
+        h.record(static_cast<double>(t + 1));
+      });
+    }
+    go.store(true, std::memory_order_release);
+    for (auto& th : threads) th.join();
+    const auto s = h.snapshot();
+    if (s.count != kThreads || s.min != 1.0 ||
+        s.max != static_cast<double>(kThreads)) {
+      if (bad_rounds++ == 0) {
+        first_bad = "round " + std::to_string(round) +
+                    ": count=" + std::to_string(s.count) +
+                    " min=" + std::to_string(s.min) +
+                    " max=" + std::to_string(s.max);
+      }
+    }
   }
-  const auto s = d.summary();
-  EXPECT_EQ(s.count, kN);
-  EXPECT_EQ(s.samples, static_cast<std::int64_t>(Distribution::kMaxSamples));
-  EXPECT_TRUE(s.degraded());
-
-  Distribution& reg =
-      MetricsRegistry::global().distribution("test.degraded_dist");
-  for (std::int64_t i = 0; i < kN; ++i) {
-    reg.record(static_cast<double>(i));
-  }
-  const std::string report = MetricsRegistry::global().text_report();
-  // The saturated reservoir must be marked, not silently approximate.
-  EXPECT_NE(report.find("~"), std::string::npos);
-  EXPECT_NE(report.find("approx:"), std::string::npos);
+  EXPECT_EQ(bad_rounds, 0) << "first: " << first_bad;
+  h.reset();
+  const auto empty = h.snapshot();
+  EXPECT_EQ(empty.count, 0);
+  EXPECT_EQ(empty.min, 0.0);  // the ±∞ seeds never leak into a snapshot
+  EXPECT_EQ(empty.max, 0.0);
+  EXPECT_EQ(empty.quantile(0.5), 0.0);
 }
 
 TEST(Metrics, SanitizeMetricNameMapsToPrometheusCharset) {
@@ -743,7 +749,6 @@ TEST(Metrics, PrometheusTextExposition) {
   h.record(1.0);
   h.record(2.0);
   h.record(1000.0);
-  reg.distribution("test.prom_dist").record(2.5);
 
   const std::string page = reg.prometheus_text();
   const auto npos = std::string::npos;
@@ -753,9 +758,7 @@ TEST(Metrics, PrometheusTextExposition) {
   EXPECT_NE(page.find("test_prom_hist_bucket{le=\"+Inf\"} 3\n"), npos);
   EXPECT_NE(page.find("test_prom_hist_sum 1003\n"), npos);
   EXPECT_NE(page.find("test_prom_hist_count 3\n"), npos);
-  EXPECT_NE(page.find("# TYPE test_prom_dist summary"), npos);
-  EXPECT_NE(page.find("test_prom_dist{quantile=\"0.5\"} 2.5\n"), npos);
-  EXPECT_NE(page.find("test_prom_dist_count 1\n"), npos);
+  EXPECT_EQ(page.find(" summary\n"), npos);  // histograms only, no summaries
 
   // Bucket lines must be cumulative (non-decreasing) and end at _count.
   std::istringstream in(page);

@@ -8,6 +8,8 @@ GET /metrics scrape) beyond mere line syntax:
     e.g. the per-tenant serve_tenant_* families' {tenant="..."});
   * every `# TYPE` family is preceded by a `# HELP` line for the same
     family, and at least one HELP line exists;
+  * every `# TYPE` is counter, gauge or histogram (the registry exports
+    no other kind, so a summary family is a regression);
   * the iwg_build_info gauge is present, equals 1, and carries the isa and
     trace labels;
   * iwg_process_uptime_seconds is present and non-negative;
@@ -41,8 +43,10 @@ def main():
             helped.add(ln.split()[2])
             continue
         if ln.startswith("# TYPE "):
-            fam = ln.split()[2]
+            _, _, fam, kind = ln.split()
             assert fam in helped, f"# TYPE {fam} has no # HELP line"
+            assert kind in ("counter", "gauge", "histogram"), (
+                f"# TYPE {fam} {kind}: not counter, gauge or histogram")
             continue
         assert not ln.startswith("#"), f"unknown comment line: {ln!r}"
         m = LINE_RE.match(ln)
@@ -56,9 +60,8 @@ def main():
         if m.group(1) == "iwg_process_uptime_seconds":
             uptime = float(m.group(3))
         le = labels.pop("le", None)
-        quantile = labels.pop("quantile", None)
         key = tuple(sorted(labels.items()))
-        if le is None and quantile is None and m.group(1).endswith("_count"):
+        if le is None and m.group(1).endswith("_count"):
             counts[(m.group(1)[:-6], key)] = float(m.group(3))
         if le == "+Inf" and m.group(1).endswith("_bucket"):
             infs[(m.group(1)[:-7], key)] = float(m.group(3))
