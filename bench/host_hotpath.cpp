@@ -15,10 +15,10 @@
 // noisy), but always asserts the metrics invariant: filter-transform misses
 // == distinct (weights version, Γ geometry) pairs.
 //
-// A stride-2 scenario times the scalar implicit-GEMM reference against the
-// space-to-depth rewrite on the Γ engine (core::conv2d_stride2) on a ResNet
-// stage-entry shape; both modes gate its deviation relative to the output
-// scale, full mode also a 2× speedup.
+// Two stride-2 scenarios time the scalar implicit-GEMM reference against
+// the space-to-depth rewrite on the Γ engine (core::conv2d_stride2) on
+// ResNet stage-entry shapes; both modes gate their deviation relative to
+// the output scale, full mode also the stage-2 entry's 2× speedup.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -384,6 +384,7 @@ using namespace iwg;
 struct Scenario {
   const char* name;
   ConvShape s;
+  bool simd_gated = true;  ///< counts toward the ≥ 3× SIMD gate
 };
 
 TensorF rand_tensor(std::initializer_list<std::int64_t> dims, unsigned seed) {
@@ -623,6 +624,14 @@ int main(int argc, char** argv) {
       {"conv_14x14x64x32_f3", shape(1, 14, 64, 32, 3)},
       // 5×5 filter: deeper FH ring, bigger sliding-window win.
       {"conv_16x16x32x32_f5", shape(2, 16, 32, 32, 5)},
+      // ResNet18 stage-3 and stage-4 bodies (base 32, batch 8, 32×32
+      // input): deep IC with 16 and 32 ĝ panels per plane — the shapes the
+      // packed ĝ layout exists for. Their ĝ outgrows L2, so pr3/new
+      // measures memory traffic as much as vectorization and sits near 3×:
+      // they count toward the legacy and parity gates, not the SIMD one
+      // (the conv_14x14x64x32_f3 note above).
+      {"conv_8x8x128x128_f3", shape(8, 8, 128, 128, 3), false},
+      {"conv_4x4x256x256_f3", shape(8, 4, 256, 256, 3), false},
   };
 
   const char* isa = iwg::core::host_kernels().name;
@@ -639,18 +648,43 @@ int main(int argc, char** argv) {
                 r.name.c_str(), r.legacy_ms, r.pr3_ms, r.new_ms, r.speedup,
                 r.simd_speedup, r.parity);
     worst_speedup = std::min(worst_speedup, r.speedup);
-    worst_simd_speedup = std::min(worst_simd_speedup, r.simd_speedup);
+    if (sc.simd_gated)
+      worst_simd_speedup = std::min(worst_simd_speedup, r.simd_speedup);
     worst_parity = std::max(worst_parity, r.parity);
     results.push_back(r);
   }
 
-  // ResNet18's first stage entry (base 32, batch 8, 32×32 input).
-  const Stride2Result s2 =
-      run_stride2("conv_s2_32x32x32x64_f3", shape(8, 32, 32, 64, 3), reps);
-  std::printf("%-22s reference %8.3f ms   rewrite %8.3f ms   speedup %5.2fx"
-              "   max|Δ| %.2e (%.2e of scale)\n",
-              s2.name.c_str(), s2.reference_ms, s2.rewrite_ms, s2.speedup,
-              s2.max_abs_diff, s2.max_rel_diff);
+  // ResNet18's stage-2 and stage-4 entries (base 32, batch 8, 32×32
+  // input). The second rewrites to IC' = 512 over an 8×8 → 4×4 map: each
+  // image's task streams the whole 4 MiB ĝ. Each result is written under
+  // its JSON key; CI's smoke step reads "stride2". Both gate the deviation;
+  // only the first the 2× speedup, which the second misses on the scalar
+  // table (1.4× at the parent commit too).
+  struct Stride2Case {
+    const char* key;
+    Stride2Result r;
+    bool speed_gated;
+  };
+  const std::vector<Stride2Case> s2s = {
+      {"stride2",
+       run_stride2("conv_s2_32x32x32x64_f3", shape(8, 32, 32, 64, 3), reps),
+       true},
+      {"stride2_stage4",
+       run_stride2("conv_s2_8x8x128x256_f3", shape(8, 8, 128, 256, 3), reps),
+       false},
+  };
+  double worst_s2_speedup = 1e30;
+  double worst_s2_rel_diff = 0.0;
+  for (const Stride2Case& c : s2s) {
+    const Stride2Result& s2 = c.r;
+    std::printf("%-22s reference %8.3f ms   rewrite %8.3f ms   speedup "
+                "%5.2fx   max|Δ| %.2e (%.2e of scale)\n",
+                s2.name.c_str(), s2.reference_ms, s2.rewrite_ms, s2.speedup,
+                s2.max_abs_diff, s2.max_rel_diff);
+    if (c.speed_gated)
+      worst_s2_speedup = std::min(worst_s2_speedup, s2.speedup);
+    worst_s2_rel_diff = std::max(worst_s2_rel_diff, s2.max_rel_diff);
+  }
 
   long long misses = 0;
   long long expected = 0;
@@ -680,12 +714,15 @@ int main(int argc, char** argv) {
                      i + 1 < results.size() ? "," : "");
       }
       std::fprintf(f, "  ],\n");
-      std::fprintf(f,
-                   "  \"stride2\": {\"name\": \"%s\", \"reference_ms\": %.4f, "
-                   "\"rewrite_ms\": %.4f, \"speedup\": %.3f, "
-                   "\"max_abs_diff\": %.3e, \"max_rel_diff\": %.3e},\n",
-                   s2.name.c_str(), s2.reference_ms, s2.rewrite_ms,
-                   s2.speedup, s2.max_abs_diff, s2.max_rel_diff);
+      for (const Stride2Case& c : s2s) {
+        const Stride2Result& s2 = c.r;
+        std::fprintf(f,
+                     "  \"%s\": {\"name\": \"%s\", \"reference_ms\": %.4f, "
+                     "\"rewrite_ms\": %.4f, \"speedup\": %.3f, "
+                     "\"max_abs_diff\": %.3e, \"max_rel_diff\": %.3e},\n",
+                     c.key, s2.name.c_str(), s2.reference_ms, s2.rewrite_ms,
+                     s2.speedup, s2.max_abs_diff, s2.max_rel_diff);
+      }
       std::fprintf(f, "  \"filter_transform_misses\": %lld,\n", misses);
       std::fprintf(f, "  \"expected_misses\": %lld,\n", expected);
       std::fprintf(f, "  \"train_step_ms\": %.4f\n}\n", step_ms);
@@ -706,15 +743,15 @@ int main(int argc, char** argv) {
     std::printf("FAIL: engines disagree (max|Δ| %.2e > 1e-4)\n", worst_parity);
     fail = true;
   }
-  if (s2.max_rel_diff > kStride2Tolerance) {
+  if (worst_s2_rel_diff > kStride2Tolerance) {
     std::printf("FAIL: stride-2 rewrite disagrees with the reference "
                 "(max|Δ| %.2e of scale > %.0e)\n",
-                s2.max_rel_diff, kStride2Tolerance);
+                worst_s2_rel_diff, kStride2Tolerance);
     fail = true;
   }
-  if (!smoke && s2.speedup < 2.0) {
+  if (!smoke && worst_s2_speedup < 2.0) {
     std::printf("FAIL: stride-2 rewrite speedup %.2fx below the 2x bound\n",
-                s2.speedup);
+                worst_s2_speedup);
     fail = true;
   }
   if (!smoke && worst_speedup < 1.5) {

@@ -4,8 +4,10 @@
 // experiments depend on).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -280,6 +282,44 @@ void register_kernel_benches() {
               it * 2.0 * kRows * kKc * kNj / 1e9,
               benchmark::Counter::kIsRate);
         });
+
+    // Deep blocked rank-1 over a multi-plane ĝ working set: kc = 256 is
+    // IC of ResNet18's stage-4 layers, kc = 512 the P²·IC of their
+    // stride-2 rewrite. Each call takes the next of enough packed planes
+    // to fill 4 MiB, as the engine walks its FH·α planes, so ĝ streams
+    // from the outer caches the way it does inside a conv — the regime
+    // the kc = nj = 32 entry above (one L1-resident plane) cannot see.
+    for (const auto& [kc, nj] : {std::pair<std::int64_t, std::int64_t>{256, 256},
+                                 std::pair<std::int64_t, std::int64_t>{512, 256}}) {
+      const std::string shape =
+          "/kc" + std::to_string(kc) + "_nj" + std::to_string(nj);
+      benchmark::RegisterBenchmark(
+          ("BM_KernelAxpyRank1MultiDeep" + shape + suffix).c_str(),
+          [hk, kc = kc, nj = nj](benchmark::State& state) {
+            const std::int64_t plane = kc * nj;
+            const std::int64_t planes = std::max<std::int64_t>(
+                2, (std::int64_t{4} << 20) / (plane * sizeof(float)));
+            auto b = make_kernel_buffers(kc, nj, kRows);
+            std::vector<float> g(static_cast<std::size_t>(planes * plane));
+            Rng rng(19);
+            for (float& v : g) v = rng.uniform(-1.0f, 1.0f);
+            std::int64_t p = 0;
+            for (auto _ : state) {
+              hk->axpy_rank1_multi(b.ds.data(), g.data() + p * plane,
+                                   b.ms.data(), kRows, kc, nj);
+              p = p + 1 == planes ? 0 : p + 1;
+              benchmark::DoNotOptimize(b.m.data());
+            }
+            const double it = static_cast<double>(state.iterations());
+            state.counters["GB/s"] = benchmark::Counter(
+                it * (kRows * kc + plane + 2 * kRows * nj) * sizeof(float) /
+                    1e9,
+                benchmark::Counter::kIsRate);
+            state.counters["Gflop/s"] = benchmark::Counter(
+                it * 2.0 * kRows * kc * nj / 1e9,
+                benchmark::Counter::kIsRate);
+          });
+    }
 
     // Output transform: one A^T row (α=8 terms) over 64 output channels.
     benchmark::RegisterBenchmark(

@@ -27,10 +27,11 @@ TensorF transform_filter_host(const TensorF& w, const ConvShape& s,
   const WinogradPlan& plan = get_plan(cfg.n, r);
   const HostKernels& hk = host_kernels();
   TensorF ghat({s.fh, alpha, s.ic, s.oc});
+  const std::int64_t plane = s.ic * s.oc;  // one ĝ[fh][t] plane
   // The r filter taps of one (oc, fh) slice are IC-contiguous NHWC-style
   // rows, so the G transform runs IC-lane-parallel; the scatter into the
-  // ĝ[fh][t][ic][oc] layout (OC innermost for the axpy kernel) is the only
-  // scalar step left.
+  // panel-packed ĝ planes (ghat_index: 8-wide OC panels for the rank-1
+  // kernels) is the only scalar step left, a stride of the panel width.
   parallel_for(s.fh * s.oc, [&](std::int64_t job) {
     const std::int64_t fh = job / s.oc;
     const std::int64_t oc = job % s.oc;
@@ -41,12 +42,12 @@ TensorF transform_filter_host(const TensorF& w, const ConvShape& s,
     const float* taps[16];
     for (int j = 0; j < r; ++j) taps[j] = &w.at(oc, fh, j, 0);
     hk.transform_cols(plan.g_f.data(), alpha, r, taps, s.ic, ghat_ic, s.ic);
+    const std::int64_t base = ghat_index(0, oc, s.ic, s.oc);
+    const std::int64_t step = ghat_panel_width(oc, s.oc);
     for (int t = 0; t < alpha; ++t) {
       const float* src = ghat_ic + static_cast<std::int64_t>(t) * s.ic;
-      float* dst = ghat.data() +
-                   ((fh * alpha + t) * s.ic) * static_cast<std::size_t>(s.oc) +
-                   static_cast<std::size_t>(oc);
-      for (std::int64_t ic = 0; ic < s.ic; ++ic) dst[ic * s.oc] = src[ic];
+      float* dst = ghat.data() + (fh * alpha + t) * plane + base;
+      for (std::int64_t ic = 0; ic < s.ic; ++ic) dst[ic * step] = src[ic];
     }
   });
   return ghat;

@@ -1,7 +1,7 @@
 // Pre-transformed-filter cache for the host engine.
 //
-// The host fast path used to re-derive the transformed filters
-// ĝ[fh][t][ic][oc] inside *every* Γ segment execution — so a multi-segment
+// The host fast path used to re-derive the transformed filters ĝ
+// inside *every* Γ segment execution — so a multi-segment
 // boundary plan re-paid the α·FH·IC·OC transform per segment, and a training
 // step re-paid it on every forward and backward even though the weights only
 // change once per optimizer step. This cache memoizes ĝ under
@@ -49,8 +49,10 @@ class Counter;
 
 namespace iwg::core {
 
-/// ĝ[fh][t][ic][oc] for one (filter, Γ geometry), as an FH×α×IC×OC tensor:
-/// OC contiguous for the host engine's inner axpy. `w` is the original
+/// ĝ for one (filter, Γ geometry), as an FH×α×IC×OC tensor: FH·α planes
+/// of IC·OC floats, each packed in 8-wide OC panels (element (ic, oc) of
+/// plane (fh, t) at ghat_index(ic, oc, IC, OC), host_kernels.hpp) so the
+/// host engine's rank-1 kernels read it contiguously. `w` is the original
 /// OC,FH,FW,IC filter.
 TensorF transform_filter_host(const TensorF& w, const ConvShape& s,
                               const GammaConfig& cfg);

@@ -94,7 +94,7 @@ void conv2d_gamma_host_segment(const TensorF& x, const TensorF& w,
                                std::int64_t ow_start, std::int64_t ow_len,
                                TensorF& y);
 
-/// Same, but against pre-transformed filters ĝ[fh][t][ic][oc] (from
+/// Same, but against pre-transformed, panel-packed filters ĝ (from
 /// transform_filter_host / the FilterTransformCache).
 void conv2d_gamma_host_segment_pretransformed(
     const TensorF& x, const float* ghat, const ConvShape& s,

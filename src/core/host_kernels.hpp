@@ -80,13 +80,15 @@ struct HostKernels {
                          const float* const* rows, std::int64_t nc, float* dst,
                          std::int64_t dst_stride);
 
-  /// m[j] += Σ_k d[k] · g[k·nj + j], terms in ascending k per element.
+  /// m[j] += Σ_k d[k] · g[ghat_index(k, j, kc, nj)], terms in ascending k
+  /// per element; g is one panel-packed kc×nj ĝ plane (see ghat_index).
   /// Contract: ULP-bounded vs scalar (FMA contraction allowed).
   void (*axpy_rank1)(const float* d, const float* g, float* m,
                      std::int64_t kc, std::int64_t nj);
 
   /// Blocked rank-1 accumulate: for each r < rows with ds[r] != nullptr,
-  ///   ms[r][j] += Σ_k ds[r][k] · g[k·nj + j]   (ascending k per element).
+  ///   ms[r][j] += Σ_k ds[r][k] · g[ghat_index(k, j, kc, nj)]
+  /// (ascending k per element).
   /// Null ds rows are skipped and their ms row left untouched. Per row this
   /// is exactly axpy_rank1; the blocked form exists so vector ISAs can
   /// reuse one loaded ĝ vector across several accumulator rows (the rank-1
@@ -110,6 +112,32 @@ struct HostKernels {
   const char* name;  ///< "scalar" | "avx2" | "neon"
   HostIsa isa;
 };
+
+/// ĝ panel width. One kc×nj plane of the transformed filter (k = IC,
+/// j = OC) is stored as ⌈nj/8⌉ panels: panel p holds columns
+/// [8p, 8p + w), w = min(8, nj − 8p), as a [k][w] block. A full panel is
+/// one AVX2 vector (two NEON vectors) per k, so the rank-1 kernels stream
+/// it linearly instead of reading an 8-float strip every nj floats — the
+/// host form of the paper's coalesced filter-tile loads (§5), and the
+/// weight packing of XNNPACK-style micro-kernels. The plane keeps its
+/// kc·nj floats; only the order changes.
+inline constexpr std::int64_t kGhatPanel = 8;
+
+/// Width of the panel holding column j: kGhatPanel, or the ragged
+/// remainder nj mod 8 for the last panel. Element (k, j) and (k + 1, j) are
+/// this many floats apart.
+inline std::int64_t ghat_panel_width(std::int64_t j, std::int64_t nj) {
+  const std::int64_t p0 = j - j % kGhatPanel;
+  return nj - p0 < kGhatPanel ? nj - p0 : kGhatPanel;
+}
+
+/// Offset of element (k, j) in one panel-packed kc×nj ĝ plane. Every writer
+/// and reader of ĝ goes through this (and ghat_panel_width, its stride).
+inline std::int64_t ghat_index(std::int64_t k, std::int64_t j,
+                               std::int64_t kc, std::int64_t nj) {
+  const std::int64_t p0 = j - j % kGhatPanel;
+  return p0 * kc + k * ghat_panel_width(j, nj) + (j - p0);
+}
 
 /// The active table (selects on first use: IWG_HOST_ISA override, else the
 /// best supported ISA; scalar when built with -DIWG_HOST_ISA=scalar).

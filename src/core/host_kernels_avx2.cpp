@@ -66,10 +66,23 @@ void transform_cols_avx2(const float* m, int rows_n, int cols,
   }
 }
 
+// Ragged last ĝ panel (nj mod 8 columns), finished in scalar code with the
+// vector body's per-element term order: one FMA per k, ascending.
+void axpy_tail_avx2(const float* d, const float* g, float* m, std::int64_t kc,
+                    std::int64_t j0, std::int64_t nj) {
+  for (std::int64_t j = j0; j < nj; ++j) {
+    float acc = m[j];
+    for (std::int64_t k = 0; k < kc; ++k)
+      acc = std::fmaf(d[k], g[ghat_index(k, j, kc, nj)], acc);
+    m[j] = acc;
+  }
+}
+
 // ULP contract: ascending-k term order per element, FMA per term. 32-wide
 // j blocks keep four accumulators (four independent FMA dependency chains —
-// two chains leave the FMA units mostly idle waiting on latency); m is
-// loaded/stored once per block, g rows stream.
+// two chains leave the FMA units mostly idle waiting on latency), one per
+// ĝ panel; m is loaded/stored once per block, and each panel streams
+// linearly, kGhatPanel floats per k.
 void axpy_rank1_avx2(const float* d, const float* g, float* m, std::int64_t kc,
                      std::int64_t nj) {
   std::int64_t j = 0;
@@ -78,14 +91,17 @@ void axpy_rank1_avx2(const float* d, const float* g, float* m, std::int64_t kc,
     __m256 acc1 = _mm256_loadu_ps(m + j + 8);
     __m256 acc2 = _mm256_loadu_ps(m + j + 16);
     __m256 acc3 = _mm256_loadu_ps(m + j + 24);
-    const float* gj = g + j;
+    const float* g0 = g + ghat_index(0, j, kc, nj);
+    const float* g1 = g + ghat_index(0, j + 8, kc, nj);
+    const float* g2 = g + ghat_index(0, j + 16, kc, nj);
+    const float* g3 = g + ghat_index(0, j + 24, kc, nj);
     for (std::int64_t k = 0; k < kc; ++k) {
       const __m256 dv = _mm256_set1_ps(d[k]);
-      const float* gr = gj + k * nj;
-      acc0 = _mm256_fmadd_ps(dv, _mm256_loadu_ps(gr), acc0);
-      acc1 = _mm256_fmadd_ps(dv, _mm256_loadu_ps(gr + 8), acc1);
-      acc2 = _mm256_fmadd_ps(dv, _mm256_loadu_ps(gr + 16), acc2);
-      acc3 = _mm256_fmadd_ps(dv, _mm256_loadu_ps(gr + 24), acc3);
+      const std::int64_t o = k * kGhatPanel;
+      acc0 = _mm256_fmadd_ps(dv, _mm256_loadu_ps(g0 + o), acc0);
+      acc1 = _mm256_fmadd_ps(dv, _mm256_loadu_ps(g1 + o), acc1);
+      acc2 = _mm256_fmadd_ps(dv, _mm256_loadu_ps(g2 + o), acc2);
+      acc3 = _mm256_fmadd_ps(dv, _mm256_loadu_ps(g3 + o), acc3);
     }
     _mm256_storeu_ps(m + j, acc0);
     _mm256_storeu_ps(m + j + 8, acc1);
@@ -95,38 +111,35 @@ void axpy_rank1_avx2(const float* d, const float* g, float* m, std::int64_t kc,
   for (; j + 16 <= nj; j += 16) {
     __m256 acc0 = _mm256_loadu_ps(m + j);
     __m256 acc1 = _mm256_loadu_ps(m + j + 8);
-    const float* gj = g + j;
+    const float* g0 = g + ghat_index(0, j, kc, nj);
+    const float* g1 = g + ghat_index(0, j + 8, kc, nj);
     for (std::int64_t k = 0; k < kc; ++k) {
       const __m256 dv = _mm256_set1_ps(d[k]);
-      const float* gr = gj + k * nj;
-      acc0 = _mm256_fmadd_ps(dv, _mm256_loadu_ps(gr), acc0);
-      acc1 = _mm256_fmadd_ps(dv, _mm256_loadu_ps(gr + 8), acc1);
+      const std::int64_t o = k * kGhatPanel;
+      acc0 = _mm256_fmadd_ps(dv, _mm256_loadu_ps(g0 + o), acc0);
+      acc1 = _mm256_fmadd_ps(dv, _mm256_loadu_ps(g1 + o), acc1);
     }
     _mm256_storeu_ps(m + j, acc0);
     _mm256_storeu_ps(m + j + 8, acc1);
   }
   for (; j + 8 <= nj; j += 8) {
     __m256 acc = _mm256_loadu_ps(m + j);
-    const float* gj = g + j;
+    const float* gp = g + ghat_index(0, j, kc, nj);
     for (std::int64_t k = 0; k < kc; ++k) {
-      acc = _mm256_fmadd_ps(_mm256_set1_ps(d[k]), _mm256_loadu_ps(gj + k * nj),
-                            acc);
+      acc = _mm256_fmadd_ps(_mm256_set1_ps(d[k]),
+                            _mm256_loadu_ps(gp + k * kGhatPanel), acc);
     }
     _mm256_storeu_ps(m + j, acc);
   }
-  for (; j < nj; ++j) {
-    float acc = m[j];
-    for (std::int64_t k = 0; k < kc; ++k)
-      acc = std::fmaf(d[k], g[k * nj + j], acc);
-    m[j] = acc;
-  }
+  axpy_tail_avx2(d, g, m, kc, j, nj);
 }
 
 // The payoff kernel for the row-blocked engine: a single rank-1 update is
 // load-bound (one g load feeds one FMA, so the FMA units idle half the
 // time); with four accumulator rows each g vector feeds four FMAs and the
-// loop turns compute-bound. 16-wide j blocks × 4 rows use 8 accumulator
-// registers + 2 g registers, leaving room for the broadcast temporaries.
+// loop turns compute-bound. 16-wide j blocks (two ĝ panels) × 4 rows use
+// 8 accumulator registers + 2 g registers, leaving room for the broadcast
+// temporaries.
 void axpy4_j_avx2(const float* const* d, const float* g, float* const* m,
                   std::int64_t kc, std::int64_t nj) {
   std::int64_t j = 0;
@@ -135,11 +148,11 @@ void axpy4_j_avx2(const float* const* d, const float* g, float* const* m,
     __m256 a10 = _mm256_loadu_ps(m[1] + j), a11 = _mm256_loadu_ps(m[1] + j + 8);
     __m256 a20 = _mm256_loadu_ps(m[2] + j), a21 = _mm256_loadu_ps(m[2] + j + 8);
     __m256 a30 = _mm256_loadu_ps(m[3] + j), a31 = _mm256_loadu_ps(m[3] + j + 8);
-    const float* gj = g + j;
+    const float* gp0 = g + ghat_index(0, j, kc, nj);
+    const float* gp1 = g + ghat_index(0, j + 8, kc, nj);
     for (std::int64_t k = 0; k < kc; ++k) {
-      const float* gr = gj + k * nj;
-      const __m256 g0 = _mm256_loadu_ps(gr);
-      const __m256 g1 = _mm256_loadu_ps(gr + 8);
+      const __m256 g0 = _mm256_loadu_ps(gp0 + k * kGhatPanel);
+      const __m256 g1 = _mm256_loadu_ps(gp1 + k * kGhatPanel);
       __m256 dv = _mm256_set1_ps(d[0][k]);
       a00 = _mm256_fmadd_ps(dv, g0, a00);
       a01 = _mm256_fmadd_ps(dv, g1, a01);
@@ -167,9 +180,9 @@ void axpy4_j_avx2(const float* const* d, const float* g, float* const* m,
     __m256 a1 = _mm256_loadu_ps(m[1] + j);
     __m256 a2 = _mm256_loadu_ps(m[2] + j);
     __m256 a3 = _mm256_loadu_ps(m[3] + j);
-    const float* gj = g + j;
+    const float* gp = g + ghat_index(0, j, kc, nj);
     for (std::int64_t k = 0; k < kc; ++k) {
-      const __m256 g0 = _mm256_loadu_ps(gj + k * nj);
+      const __m256 g0 = _mm256_loadu_ps(gp + k * kGhatPanel);
       a0 = _mm256_fmadd_ps(_mm256_set1_ps(d[0][k]), g0, a0);
       a1 = _mm256_fmadd_ps(_mm256_set1_ps(d[1][k]), g0, a1);
       a2 = _mm256_fmadd_ps(_mm256_set1_ps(d[2][k]), g0, a2);
@@ -180,21 +193,14 @@ void axpy4_j_avx2(const float* const* d, const float* g, float* const* m,
     _mm256_storeu_ps(m[2] + j, a2);
     _mm256_storeu_ps(m[3] + j, a3);
   }
-  for (; j < nj; ++j) {
-    for (int r = 0; r < 4; ++r) {
-      float acc = m[r][j];
-      for (std::int64_t k = 0; k < kc; ++k)
-        acc = std::fmaf(d[r][k], g[k * nj + j], acc);
-      m[r][j] = acc;
-    }
-  }
+  for (int r = 0; r < 4; ++r) axpy_tail_avx2(d[r], g, m[r], kc, j, nj);
 }
 
 // Eight accumulator rows per g pass: the row count is the factor by which
 // one streamed ĝ plane is reused, so the widest block the register file
 // takes (8 accumulators + 1 g + broadcast temporaries) minimizes L2
 // traffic on the ĝ working set — the engine's actual bound once the FMA
-// chains saturate.
+// chains saturate. One j block is one ĝ panel, read front to back.
 void axpy8_j_avx2(const float* const* d, const float* g, float* const* m,
                   std::int64_t kc, std::int64_t nj) {
   std::int64_t j = 0;
@@ -207,9 +213,9 @@ void axpy8_j_avx2(const float* const* d, const float* g, float* const* m,
     __m256 a5 = _mm256_loadu_ps(m[5] + j);
     __m256 a6 = _mm256_loadu_ps(m[6] + j);
     __m256 a7 = _mm256_loadu_ps(m[7] + j);
-    const float* gj = g + j;
+    const float* gp = g + ghat_index(0, j, kc, nj);
     for (std::int64_t k = 0; k < kc; ++k) {
-      const __m256 g0 = _mm256_loadu_ps(gj + k * nj);
+      const __m256 g0 = _mm256_loadu_ps(gp + k * kGhatPanel);
       a0 = _mm256_fmadd_ps(_mm256_set1_ps(d[0][k]), g0, a0);
       a1 = _mm256_fmadd_ps(_mm256_set1_ps(d[1][k]), g0, a1);
       a2 = _mm256_fmadd_ps(_mm256_set1_ps(d[2][k]), g0, a2);
@@ -228,14 +234,7 @@ void axpy8_j_avx2(const float* const* d, const float* g, float* const* m,
     _mm256_storeu_ps(m[6] + j, a6);
     _mm256_storeu_ps(m[7] + j, a7);
   }
-  for (; j < nj; ++j) {
-    for (int r = 0; r < 8; ++r) {
-      float acc = m[r][j];
-      for (std::int64_t k = 0; k < kc; ++k)
-        acc = std::fmaf(d[r][k], g[k * nj + j], acc);
-      m[r][j] = acc;
-    }
-  }
+  for (int r = 0; r < 8; ++r) axpy_tail_avx2(d[r], g, m[r], kc, j, nj);
 }
 
 void axpy_rank1_multi_avx2(const float* const* ds, const float* g,

@@ -54,6 +54,22 @@ void transform_cols_neon(const float* m, int rows_n, int cols,
   }
 }
 
+// Ragged last ĝ panel, finished in scalar code in the vector body's
+// per-element term order: one FMA per k, ascending.
+void axpy_tail_neon(const float* d, const float* g, float* m, std::int64_t kc,
+                    std::int64_t j0, std::int64_t nj) {
+  for (std::int64_t j = j0; j < nj; ++j) {
+    float acc = m[j];
+    for (std::int64_t k = 0; k < kc; ++k)
+      acc = std::fmaf(d[k], g[ghat_index(k, j, kc, nj)], acc);
+    m[j] = acc;
+  }
+}
+
+// j blocks start at multiples of 4, so a 4-lane block never straddles two
+// ĝ panels: 16- and 8-wide blocks are whole panels (kGhatPanel floats per
+// k), a 4-wide block is half a full panel or the front of a ragged last
+// panel whose k stride is its width (ghat_panel_width).
 void axpy_rank1_neon(const float* d, const float* g, float* m, std::int64_t kc,
                      std::int64_t nj) {
   std::int64_t j = 0;
@@ -62,14 +78,15 @@ void axpy_rank1_neon(const float* d, const float* g, float* m, std::int64_t kc,
     float32x4_t acc1 = vld1q_f32(m + j + 4);
     float32x4_t acc2 = vld1q_f32(m + j + 8);
     float32x4_t acc3 = vld1q_f32(m + j + 12);
-    const float* gj = g + j;
+    const float* gp0 = g + ghat_index(0, j, kc, nj);
+    const float* gp1 = g + ghat_index(0, j + 8, kc, nj);
     for (std::int64_t k = 0; k < kc; ++k) {
       const float32x4_t dv = vdupq_n_f32(d[k]);
-      const float* gr = gj + k * nj;
-      acc0 = vfmaq_f32(acc0, dv, vld1q_f32(gr));
-      acc1 = vfmaq_f32(acc1, dv, vld1q_f32(gr + 4));
-      acc2 = vfmaq_f32(acc2, dv, vld1q_f32(gr + 8));
-      acc3 = vfmaq_f32(acc3, dv, vld1q_f32(gr + 12));
+      const std::int64_t o = k * kGhatPanel;
+      acc0 = vfmaq_f32(acc0, dv, vld1q_f32(gp0 + o));
+      acc1 = vfmaq_f32(acc1, dv, vld1q_f32(gp0 + o + 4));
+      acc2 = vfmaq_f32(acc2, dv, vld1q_f32(gp1 + o));
+      acc3 = vfmaq_f32(acc3, dv, vld1q_f32(gp1 + o + 4));
     }
     vst1q_f32(m + j, acc0);
     vst1q_f32(m + j + 4, acc1);
@@ -79,10 +96,10 @@ void axpy_rank1_neon(const float* d, const float* g, float* m, std::int64_t kc,
   for (; j + 8 <= nj; j += 8) {
     float32x4_t acc0 = vld1q_f32(m + j);
     float32x4_t acc1 = vld1q_f32(m + j + 4);
-    const float* gj = g + j;
+    const float* gp = g + ghat_index(0, j, kc, nj);
     for (std::int64_t k = 0; k < kc; ++k) {
       const float32x4_t dv = vdupq_n_f32(d[k]);
-      const float* gr = gj + k * nj;
+      const float* gr = gp + k * kGhatPanel;
       acc0 = vfmaq_f32(acc0, dv, vld1q_f32(gr));
       acc1 = vfmaq_f32(acc1, dv, vld1q_f32(gr + 4));
     }
@@ -91,23 +108,19 @@ void axpy_rank1_neon(const float* d, const float* g, float* m, std::int64_t kc,
   }
   for (; j + 4 <= nj; j += 4) {
     float32x4_t acc = vld1q_f32(m + j);
-    const float* gj = g + j;
+    const float* gp = g + ghat_index(0, j, kc, nj);
+    const std::int64_t gs = ghat_panel_width(j, nj);
     for (std::int64_t k = 0; k < kc; ++k) {
-      acc = vfmaq_f32(acc, vdupq_n_f32(d[k]), vld1q_f32(gj + k * nj));
+      acc = vfmaq_f32(acc, vdupq_n_f32(d[k]), vld1q_f32(gp + k * gs));
     }
     vst1q_f32(m + j, acc);
   }
-  for (; j < nj; ++j) {
-    float acc = m[j];
-    for (std::int64_t k = 0; k < kc; ++k)
-      acc = std::fmaf(d[k], g[k * nj + j], acc);
-    m[j] = acc;
-  }
+  axpy_tail_neon(d, g, m, kc, j, nj);
 }
 
 // Blocked rank-1: each g vector feeds four accumulator rows (see the AVX2
-// table for the load-bound rationale). 8-wide j blocks × 4 rows use 8
-// accumulators + 2 g registers.
+// table for the load-bound rationale). 8-wide j blocks (one ĝ panel) × 4
+// rows use 8 accumulators + 2 g registers.
 void axpy4_j_neon(const float* const* d, const float* g, float* const* m,
                   std::int64_t kc, std::int64_t nj) {
   std::int64_t j = 0;
@@ -116,9 +129,9 @@ void axpy4_j_neon(const float* const* d, const float* g, float* const* m,
     float32x4_t a10 = vld1q_f32(m[1] + j), a11 = vld1q_f32(m[1] + j + 4);
     float32x4_t a20 = vld1q_f32(m[2] + j), a21 = vld1q_f32(m[2] + j + 4);
     float32x4_t a30 = vld1q_f32(m[3] + j), a31 = vld1q_f32(m[3] + j + 4);
-    const float* gj = g + j;
+    const float* gp = g + ghat_index(0, j, kc, nj);
     for (std::int64_t k = 0; k < kc; ++k) {
-      const float* gr = gj + k * nj;
+      const float* gr = gp + k * kGhatPanel;
       const float32x4_t g0 = vld1q_f32(gr);
       const float32x4_t g1 = vld1q_f32(gr + 4);
       a00 = vfmaq_n_f32(a00, g0, d[0][k]);
@@ -144,9 +157,10 @@ void axpy4_j_neon(const float* const* d, const float* g, float* const* m,
     float32x4_t a1 = vld1q_f32(m[1] + j);
     float32x4_t a2 = vld1q_f32(m[2] + j);
     float32x4_t a3 = vld1q_f32(m[3] + j);
-    const float* gj = g + j;
+    const float* gp = g + ghat_index(0, j, kc, nj);
+    const std::int64_t gs = ghat_panel_width(j, nj);
     for (std::int64_t k = 0; k < kc; ++k) {
-      const float32x4_t g0 = vld1q_f32(gj + k * nj);
+      const float32x4_t g0 = vld1q_f32(gp + k * gs);
       a0 = vfmaq_n_f32(a0, g0, d[0][k]);
       a1 = vfmaq_n_f32(a1, g0, d[1][k]);
       a2 = vfmaq_n_f32(a2, g0, d[2][k]);
@@ -157,19 +171,13 @@ void axpy4_j_neon(const float* const* d, const float* g, float* const* m,
     vst1q_f32(m[2] + j, a2);
     vst1q_f32(m[3] + j, a3);
   }
-  for (; j < nj; ++j) {
-    for (int r = 0; r < 4; ++r) {
-      float acc = m[r][j];
-      for (std::int64_t k = 0; k < kc; ++k)
-        acc = std::fmaf(d[r][k], g[k * nj + j], acc);
-      m[r][j] = acc;
-    }
-  }
+  for (int r = 0; r < 4; ++r) axpy_tail_neon(d[r], g, m[r], kc, j, nj);
 }
 
 // Eight accumulator rows per g pass (16 accumulators + 2 g registers of
 // the 32 NEON has): maximizes reuse of each streamed ĝ vector, which is
-// what bounds the engine once the FMA pipes fill.
+// what bounds the engine once the FMA pipes fill. One j block is one ĝ
+// panel, read front to back.
 void axpy8_j_neon(const float* const* d, const float* g, float* const* m,
                   std::int64_t kc, std::int64_t nj) {
   std::int64_t j = 0;
@@ -182,9 +190,9 @@ void axpy8_j_neon(const float* const* d, const float* g, float* const* m,
     float32x4_t a50 = vld1q_f32(m[5] + j), a51 = vld1q_f32(m[5] + j + 4);
     float32x4_t a60 = vld1q_f32(m[6] + j), a61 = vld1q_f32(m[6] + j + 4);
     float32x4_t a70 = vld1q_f32(m[7] + j), a71 = vld1q_f32(m[7] + j + 4);
-    const float* gj = g + j;
+    const float* gp = g + ghat_index(0, j, kc, nj);
     for (std::int64_t k = 0; k < kc; ++k) {
-      const float* gr = gj + k * nj;
+      const float* gr = gp + k * kGhatPanel;
       const float32x4_t g0 = vld1q_f32(gr);
       const float32x4_t g1 = vld1q_f32(gr + 4);
       a00 = vfmaq_n_f32(a00, g0, d[0][k]);
@@ -221,14 +229,7 @@ void axpy8_j_neon(const float* const* d, const float* g, float* const* m,
     vst1q_f32(m[7] + j, a70);
     vst1q_f32(m[7] + j + 4, a71);
   }
-  for (; j < nj; ++j) {
-    for (int r = 0; r < 8; ++r) {
-      float acc = m[r][j];
-      for (std::int64_t k = 0; k < kc; ++k)
-        acc = std::fmaf(d[r][k], g[k * nj + j], acc);
-      m[r][j] = acc;
-    }
-  }
+  for (int r = 0; r < 8; ++r) axpy_tail_neon(d[r], g, m[r], kc, j, nj);
 }
 
 void axpy_rank1_multi_neon(const float* const* ds, const float* g,

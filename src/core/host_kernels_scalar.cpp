@@ -9,6 +9,8 @@
 // aarch64 has baseline FMA that would otherwise change the reference).
 #include "core/host_kernels.hpp"
 
+#include <cstring>
+
 namespace iwg::core::detail {
 
 namespace {
@@ -38,34 +40,64 @@ void transform_cols_scalar(const float* m, int rows_n, int cols,
   }
 }
 
-// Unrolling k by 4 keeps one load+store of m per four updates; the
-// additions stay in ascending-k order, so results match the rolled loop
-// bit for bit.
-void axpy_rank1_scalar(const float* __restrict d, const float* __restrict g,
-                       float* __restrict m, std::int64_t kc, std::int64_t nj) {
-  std::int64_t k = 0;
-  for (; k + 4 <= kc; k += 4) {
-    const float d0 = d[k];
-    const float d1 = d[k + 1];
-    const float d2 = d[k + 2];
-    const float d3 = d[k + 3];
-    const float* __restrict g0 = g + k * nj;
-    const float* __restrict g1 = g0 + nj;
-    const float* __restrict g2 = g1 + nj;
-    const float* __restrict g3 = g2 + nj;
-    for (std::int64_t j = 0; j < nj; ++j) {
-      float acc = m[j];
-      acc += d0 * g0[j];
-      acc += d1 * g1[j];
-      acc += d2 * g2[j];
-      acc += d3 * g3[j];
-      m[j] = acc;
+// Half a k row of a full ĝ panel as a GCC/Clang generic vector of four
+// lanes (one SSE or ASIMD register; elsewhere the compiler splits it).
+// Its per-lane multiply and add are still one IEEE rounding each — this TU
+// is -ffp-contract=off. Plain loops over the 8-wide panels run at half
+// this speed: GCC vectorizes them along k, with lane shuffles.
+using Lanes = float __attribute__((vector_size(4 * sizeof(float))));
+
+inline Lanes load4(const float* p) {
+  Lanes v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+inline void store4(float* p, Lanes v) { std::memcpy(p, &v, sizeof v); }
+
+// Per element: m, then each d[k]·ĝ term added in ascending k, one rounding
+// per multiply and per add. Two panels per pass keep four independent add
+// chains per lane; then a single panel; then the ragged last panel
+// (ghat_panel_width columns, that many floats per k) in plain code.
+void axpy_rank1_scalar(const float* d, const float* g, float* m,
+                       std::int64_t kc, std::int64_t nj) {
+  std::int64_t j = 0;
+  for (; j + 2 * kGhatPanel <= nj; j += 2 * kGhatPanel) {
+    const float* gp0 = g + ghat_index(0, j, kc, nj);
+    const float* gp1 = g + ghat_index(0, j + kGhatPanel, kc, nj);
+    Lanes a0 = load4(m + j), a1 = load4(m + j + 4);
+    Lanes a2 = load4(m + j + 8), a3 = load4(m + j + 12);
+    for (std::int64_t k = 0; k < kc; ++k) {
+      const float dv = d[k];
+      const std::int64_t o = k * kGhatPanel;
+      a0 += dv * load4(gp0 + o);
+      a1 += dv * load4(gp0 + o + 4);
+      a2 += dv * load4(gp1 + o);
+      a3 += dv * load4(gp1 + o + 4);
     }
+    store4(m + j, a0);
+    store4(m + j + 4, a1);
+    store4(m + j + 8, a2);
+    store4(m + j + 12, a3);
   }
-  for (; k < kc; ++k) {
-    const float dv = d[k];
-    const float* __restrict gr = g + k * nj;
-    for (std::int64_t j = 0; j < nj; ++j) m[j] += dv * gr[j];
+  for (; j + kGhatPanel <= nj; j += kGhatPanel) {
+    const float* gp = g + ghat_index(0, j, kc, nj);
+    Lanes a0 = load4(m + j), a1 = load4(m + j + 4);
+    for (std::int64_t k = 0; k < kc; ++k) {
+      const float* gr = gp + k * kGhatPanel;
+      a0 += d[k] * load4(gr);
+      a1 += d[k] * load4(gr + 4);
+    }
+    store4(m + j, a0);
+    store4(m + j + 4, a1);
+  }
+  if (j == nj) return;
+  const std::int64_t w = nj - j;
+  const float* gp = g + ghat_index(0, j, kc, nj);
+  for (std::int64_t c = 0; c < w; ++c) {
+    float acc = m[j + c];
+    for (std::int64_t k = 0; k < kc; ++k) acc += d[k] * gp[k * w + c];
+    m[j + c] = acc;
   }
 }
 

@@ -1,6 +1,8 @@
 #include "nn/layers.hpp"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "common/arena.hpp"
 #include "common/thread_pool.hpp"
@@ -289,45 +291,61 @@ BatchNorm2D::BatchNorm2D(std::int64_t channels, float momentum, float eps)
   inv_std_.resize(static_cast<std::size_t>(channels));
 }
 
+// Every loop walks NHWC row-major — i (the N·H·W position) outer, the
+// channel c inner — with the per-channel constants hoisted into C-long
+// arrays: one contiguous pass per stage instead of C passes at a stride of
+// C floats. Each element's expression and each channel's ascending-i
+// summation order are the channel-outer loops', so outputs and gradients
+// are bit for bit what those loops gave.
 TensorF BatchNorm2D::forward(const TensorF& x, bool train) {
   IWG_CHECK(x.rank() == 4 && x.dim(3) == channels_);
+  if (!train) return infer(x);
   const std::int64_t m = x.size() / channels_;
+  const std::int64_t nc = channels_;
+  const std::size_t cs = static_cast<std::size_t>(nc);
   TensorF y(std::vector<std::int64_t>{x.dim(0), x.dim(1), x.dim(2), x.dim(3)});
-  if (train) {
-    xhat_.reset({x.dim(0), x.dim(1), x.dim(2), x.dim(3)});
-    count_ = m;
-    for (std::int64_t c = 0; c < channels_; ++c) {
-      double mean = 0.0;
-      for (std::int64_t i = 0; i < m; ++i) mean += x[i * channels_ + c];
-      mean /= static_cast<double>(m);
-      double var = 0.0;
-      for (std::int64_t i = 0; i < m; ++i) {
-        const double d = x[i * channels_ + c] - mean;
-        var += d * d;
-      }
-      var /= static_cast<double>(m);
-      const float inv = 1.0f / std::sqrt(static_cast<float>(var) + eps_);
-      inv_std_[static_cast<std::size_t>(c)] = inv;
-      running_mean_[c] = momentum_ * running_mean_[c] +
-                         (1.0f - momentum_) * static_cast<float>(mean);
-      running_var_[c] = momentum_ * running_var_[c] +
-                        (1.0f - momentum_) * static_cast<float>(var);
-      for (std::int64_t i = 0; i < m; ++i) {
-        const float xh =
-            (x[i * channels_ + c] - static_cast<float>(mean)) * inv;
-        xhat_[i * channels_ + c] = xh;
-        y[i * channels_ + c] = gamma_.value[c] * xh + beta_.value[c];
-      }
+  xhat_.reset({x.dim(0), x.dim(1), x.dim(2), x.dim(3)});
+  count_ = m;
+  const float* xp = x.data();
+  std::vector<double> mean(cs, 0.0), var(cs, 0.0);
+  for (std::int64_t i = 0; i < m; ++i) {
+    const float* xr = xp + i * nc;
+    for (std::int64_t c = 0; c < nc; ++c) mean[c] += xr[c];
+  }
+  for (std::int64_t c = 0; c < nc; ++c) mean[c] /= static_cast<double>(m);
+  for (std::int64_t i = 0; i < m; ++i) {
+    const float* xr = xp + i * nc;
+    for (std::int64_t c = 0; c < nc; ++c) {
+      const double d = xr[c] - mean[c];
+      var[c] += d * d;
     }
-  } else {
-    for (std::int64_t c = 0; c < channels_; ++c) {
-      const float inv = 1.0f / std::sqrt(running_var_[c] + eps_);
-      for (std::int64_t i = 0; i < m; ++i) {
-        y[i * channels_ + c] =
-            gamma_.value[c] * (x[i * channels_ + c] - running_mean_[c]) * inv +
-            beta_.value[c];
-      }
-    }
+  }
+  std::vector<float> meanf(cs);
+  for (std::int64_t c = 0; c < nc; ++c) {
+    var[c] /= static_cast<double>(m);
+    const float inv = 1.0f / std::sqrt(static_cast<float>(var[c]) + eps_);
+    inv_std_[static_cast<std::size_t>(c)] = inv;
+    meanf[c] = static_cast<float>(mean[c]);
+    running_mean_[c] = momentum_ * running_mean_[c] +
+                       (1.0f - momentum_) * static_cast<float>(mean[c]);
+    running_var_[c] = momentum_ * running_var_[c] +
+                      (1.0f - momentum_) * static_cast<float>(var[c]);
+  }
+  const float* mu = meanf.data();
+  const float* inv = inv_std_.data();
+  const float* gamma = gamma_.value.data();
+  const float* beta = beta_.value.data();
+  float* xhat = xhat_.data();
+  float* yp = y.data();
+  for (std::int64_t i = 0; i < m; ++i) {
+    const float* xr = xp + i * nc;
+    float* hr = xhat + i * nc;
+    float* yr = yp + i * nc;
+    // Two passes over the row keep each loop's alias checks few enough for
+    // the vectorizer; yr re-reads the x̂ value it would have kept in a
+    // register, so the result is unchanged.
+    for (std::int64_t c = 0; c < nc; ++c) hr[c] = (xr[c] - mu[c]) * inv[c];
+    for (std::int64_t c = 0; c < nc; ++c) yr[c] = gamma[c] * hr[c] + beta[c];
   }
   return y;
 }
@@ -335,14 +353,19 @@ TensorF BatchNorm2D::forward(const TensorF& x, bool train) {
 TensorF BatchNorm2D::infer(const TensorF& x) const {
   IWG_CHECK(x.rank() == 4 && x.dim(3) == channels_);
   const std::int64_t m = x.size() / channels_;
+  const std::int64_t nc = channels_;
   TensorF y(std::vector<std::int64_t>{x.dim(0), x.dim(1), x.dim(2), x.dim(3)});
-  for (std::int64_t c = 0; c < channels_; ++c) {
-    const float inv = 1.0f / std::sqrt(running_var_[c] + eps_);
-    for (std::int64_t i = 0; i < m; ++i) {
-      y[i * channels_ + c] =
-          gamma_.value[c] * (x[i * channels_ + c] - running_mean_[c]) * inv +
-          beta_.value[c];
-    }
+  std::vector<float> inv(static_cast<std::size_t>(nc));
+  for (std::int64_t c = 0; c < nc; ++c)
+    inv[c] = 1.0f / std::sqrt(running_var_[c] + eps_);
+  const float* mean = running_mean_.data();
+  const float* gamma = gamma_.value.data();
+  const float* beta = beta_.value.data();
+  for (std::int64_t i = 0; i < m; ++i) {
+    const float* xr = x.data() + i * nc;
+    float* yr = y.data() + i * nc;
+    for (std::int64_t c = 0; c < nc; ++c)
+      yr[c] = gamma[c] * (xr[c] - mean[c]) * inv[c] + beta[c];
   }
   return y;
 }
@@ -350,61 +373,103 @@ TensorF BatchNorm2D::infer(const TensorF& x) const {
 TensorF BatchNorm2D::backward(const TensorF& dy) {
   IWG_CHECK(!xhat_.empty());
   const std::int64_t m = count_;
+  const std::int64_t nc = channels_;
+  const std::size_t cs = static_cast<std::size_t>(nc);
   TensorF& dgamma = gamma_.ensure_grad();
   TensorF& dbeta = beta_.ensure_grad();
   TensorF dx(std::vector<std::int64_t>{dy.dim(0), dy.dim(1), dy.dim(2),
                                        dy.dim(3)});
-  for (std::int64_t c = 0; c < channels_; ++c) {
-    double sum_dy = 0.0;
-    double sum_dy_xhat = 0.0;
-    for (std::int64_t i = 0; i < m; ++i) {
-      const float g = dy[i * channels_ + c];
-      sum_dy += g;
-      sum_dy_xhat += g * xhat_[i * channels_ + c];
+  std::vector<double> sum_dy(cs, 0.0), sum_dy_xhat(cs, 0.0);
+  for (std::int64_t i = 0; i < m; ++i) {
+    const float* gr = dy.data() + i * nc;
+    const float* hr = xhat_.data() + i * nc;
+    for (std::int64_t c = 0; c < nc; ++c) {
+      const float g = gr[c];
+      sum_dy[c] += g;
+      sum_dy_xhat[c] += g * hr[c];
     }
-    dgamma[c] += static_cast<float>(sum_dy_xhat);
-    dbeta[c] += static_cast<float>(sum_dy);
-    const float inv = inv_std_[static_cast<std::size_t>(c)];
-    const float k1 = static_cast<float>(sum_dy / static_cast<double>(m));
-    const float k2 = static_cast<float>(sum_dy_xhat / static_cast<double>(m));
-    for (std::int64_t i = 0; i < m; ++i) {
-      const float g = dy[i * channels_ + c];
-      dx[i * channels_ + c] = gamma_.value[c] * inv *
-                              (g - k1 - xhat_[i * channels_ + c] * k2);
-    }
+  }
+  std::vector<float> k1(cs), k2(cs);
+  for (std::int64_t c = 0; c < nc; ++c) {
+    dgamma[c] += static_cast<float>(sum_dy_xhat[c]);
+    dbeta[c] += static_cast<float>(sum_dy[c]);
+    k1[c] = static_cast<float>(sum_dy[c] / static_cast<double>(m));
+    k2[c] = static_cast<float>(sum_dy_xhat[c] / static_cast<double>(m));
+  }
+  const float* inv = inv_std_.data();
+  const float* gamma = gamma_.value.data();
+  for (std::int64_t i = 0; i < m; ++i) {
+    const float* gr = dy.data() + i * nc;
+    const float* hr = xhat_.data() + i * nc;
+    float* dr = dx.data() + i * nc;
+    for (std::int64_t c = 0; c < nc; ++c)
+      dr[c] = gamma[c] * inv[c] * (gr[c] - k1[c] - hr[c] * k2[c]);
   }
   return dx;
 }
 
 // ---------------------------------------------------------------------------
 // LeakyReLU
+//
+// Branchless: a sign branch per element mispredicts about half the time on
+// mixed-sign activations. The result is still the branching form's,
+// x < 0 ? slope·x : x, bit for bit on every input (±0, ±inf and NaN pass
+// through unchanged). std::max(x, slope·x) is not: at slope 0 it returns
+// −inf for −inf, where slope·x is NaN.
+
+namespace {
+
+// The select as an integer blend of the two candidates: slope·x is
+// computed for every element, so the compiler keeps it a compare + and/or
+// lane blend. (Written as a float ternary, GCC must not speculate the
+// multiply under its default -ftrapping-math and leaves a branch.)
+inline float leaky_relu(float x, float slope) {
+  const std::uint32_t neg = 0u - static_cast<std::uint32_t>(x < 0.0f);
+  return std::bit_cast<float>((std::bit_cast<std::uint32_t>(slope * x) & neg) |
+                              (std::bit_cast<std::uint32_t>(x) & ~neg));
+}
+
+}  // namespace
+
+LeakyReLU::LeakyReLU(float slope) : slope_(slope) {
+  IWG_CHECK_MSG(0.0f <= slope && slope <= 1.0f,
+                "LeakyReLU slope must lie in [0, 1]");
+}
 
 TensorF LeakyReLU::forward(const TensorF& x, bool train) {
+  if (!train) return infer(x);
   TensorF y = x;
-  if (train) mask_.assign(static_cast<std::size_t>(x.size()), 0);
+  mask_.resize(static_cast<std::size_t>(x.size()));
+  float* yp = y.data();
+  std::uint8_t* mp = mask_.data();
+  const float s = slope_;
   for (std::int64_t i = 0; i < y.size(); ++i) {
-    if (y[i] < 0.0f) {
-      y[i] *= slope_;
-    } else if (train) {
-      mask_[static_cast<std::size_t>(i)] = 1;
-    }
+    mp[i] = static_cast<std::uint8_t>(!(yp[i] < 0.0f));
+    yp[i] = leaky_relu(yp[i], s);
   }
   return y;
 }
 
 TensorF LeakyReLU::infer(const TensorF& x) const {
   TensorF y = x;
-  for (std::int64_t i = 0; i < y.size(); ++i) {
-    if (y[i] < 0.0f) y[i] *= slope_;
-  }
+  float* yp = y.data();
+  const float s = slope_;
+  for (std::int64_t i = 0; i < y.size(); ++i) yp[i] = leaky_relu(yp[i], s);
   return y;
 }
 
+// dx = dy · factor, the factor 1 where the forward input was ≥ 0 (or NaN)
+// and slope elsewhere: dy·1 is dy bit for bit, so this equals the branching
+// "scale only the negative side".
 TensorF LeakyReLU::backward(const TensorF& dy) {
   IWG_CHECK(static_cast<std::int64_t>(mask_.size()) == dy.size());
   TensorF dx = dy;
+  float* dp = dx.data();
+  const std::uint8_t* mp = mask_.data();
+  const float s = slope_;
   for (std::int64_t i = 0; i < dx.size(); ++i) {
-    if (!mask_[static_cast<std::size_t>(i)]) dx[i] *= slope_;
+    const float factor = mp[i] != 0 ? 1.0f : s;
+    dp[i] *= factor;
   }
   return dx;
 }

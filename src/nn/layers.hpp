@@ -97,10 +97,10 @@ class BatchNorm2D final : public Layer {
   std::int64_t count_ = 0;       // N·H·W of the cached batch
 };
 
-/// LeakyReLU activation (§6.3.1), slope 0.01.
+/// LeakyReLU activation (§6.3.1), slope 0.01; the slope must lie in [0, 1].
 class LeakyReLU final : public Layer {
  public:
-  explicit LeakyReLU(float slope = 0.01f) : slope_(slope) {}
+  explicit LeakyReLU(float slope = 0.01f);
   std::string name() const override { return "leaky_relu"; }
   TensorF forward(const TensorF& x, bool train) override;
   TensorF infer(const TensorF& x) const override;

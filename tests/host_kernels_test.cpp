@@ -8,7 +8,9 @@
 //   dot                          reassociated (per-lane partial sums)
 // Inputs cover every α the paper supports (4..16), ragged tail lengths
 // around the 4/8/16-lane block widths, unaligned NHWC base pointers, null
-// (padding) rows, and zero matrix entries.
+// (padding) rows, and zero matrix entries. The rank-1 kernels read ĝ in its
+// 8-wide OC panel packing (ghat_index); the FMA tables must match a
+// row-major std::fmaf oracle bit for bit.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -18,6 +20,7 @@
 
 #include "common/rng.hpp"
 #include "core/conv_api.hpp"
+#include "core/filter_cache.hpp"
 #include "core/host_kernels.hpp"
 #include "reference/direct_conv.hpp"
 #include "tensor/metrics.hpp"
@@ -205,7 +208,8 @@ TEST(HostKernels, AxpyRank1UlpBoundedAcrossShapes) {
         for (std::int64_t j = 0; j < nj; ++j) {
           double terms = std::abs(want[j + 1]);
           for (std::int64_t k = 0; k < kc; ++k)
-            terms += std::abs(static_cast<double>(d[k]) * g[k * nj + j + 1]);
+            terms += std::abs(static_cast<double>(d[k]) *
+                              g[1 + ghat_index(k, j, kc, nj)]);
           expect_ulp_close(got[j + 1], want[j + 1], terms,
                            static_cast<int>(kc));
         }
@@ -260,12 +264,166 @@ TEST(HostKernels, AxpyRank1MultiMatchesPerRowSemantics) {
           for (std::int64_t j = 0; j < nj; ++j) {
             double terms = std::abs(want[r][j + 1]);
             for (std::int64_t k = 0; k < kc; ++k)
-              terms +=
-                  std::abs(static_cast<double>(d[r][k]) * g[k * nj + j + 1]);
+              terms += std::abs(static_cast<double>(d[r][k]) *
+                                g[1 + ghat_index(k, j, kc, nj)]);
             expect_ulp_close(got[r][j + 1], want[r][j + 1], terms,
                              static_cast<int>(kc));
           }
           EXPECT_EQ(got[r][0], want[r][0]);
+        }
+      }
+    }
+  }
+}
+
+// --- packed ĝ: every table against a row-major std::fmaf oracle ----------
+
+// Packs a row-major kc×nj matrix into the ĝ panel layout (ghat_index).
+std::vector<float> pack_panels(const std::vector<float>& rm, std::int64_t kc,
+                               std::int64_t nj) {
+  std::vector<float> packed(rm.size());
+  for (std::int64_t k = 0; k < kc; ++k) {
+    for (std::int64_t j = 0; j < nj; ++j)
+      packed[static_cast<std::size_t>(ghat_index(k, j, kc, nj))] =
+          rm[static_cast<std::size_t>(k * nj + j)];
+  }
+  return packed;
+}
+
+// The FMA tables fuse every term: per (row, oc) element one std::fmaf per
+// k, ascending, over the row-major matrix — the chain the kernels ran when
+// ĝ was row-major, so packing must leave their output bit for bit
+// unchanged. The scalar table rounds the multiply and the add separately
+// and stays inside the ULP bound of the same oracle. OC values straddle the
+// panel width (ragged last panels of 1 and 7 columns, one to 32 panels),
+// IC values run from one term to the deep 512 of the stride-2 rewrite, and
+// 1–8 rows with null ones cover every blocked-kernel path; each buffer is
+// sized exactly, so the ASan leg catches any lane reading past a ragged
+// last panel.
+TEST(HostKernels, PackedGhatMatchesRowMajorFmaOracle) {
+  const std::int64_t kOcs[] = {1, 7, 8, 9, 15, 16, 17, 33, 256};
+  const std::int64_t kIcs[] = {1, 3, 64, 512};
+  for (HostIsa isa : host_isa_available()) {
+    const HostKernels& table = *host_kernels_for(isa);
+    const bool fused = isa != HostIsa::kScalar;
+    SCOPED_TRACE(table.name);
+    for (std::int64_t nj : kOcs) {
+      for (std::int64_t kc : kIcs) {
+        const unsigned seed = static_cast<unsigned>(7000 + nj * 31 + kc);
+        const std::vector<float> g_rm =
+            rand_buf(static_cast<std::size_t>(kc * nj), seed);
+        const std::vector<float> g = pack_panels(g_rm, kc, nj);
+        for (int rows = 1; rows <= 8; ++rows) {
+          std::vector<std::vector<float>> d(rows), got(rows), want(rows);
+          std::vector<const float*> ds(rows);
+          std::vector<float*> ms(rows);
+          for (int r = 0; r < rows; ++r) {
+            d[r] = rand_buf(static_cast<std::size_t>(kc), seed + 10 + r);
+            got[r] = rand_buf(static_cast<std::size_t>(nj), seed + 30 + r);
+            want[r] = got[r];
+            // Rows 1 and 4 are padding rows whenever the block has more.
+            const bool null_row = rows > 2 && (r == 1 || r == 4);
+            ds[r] = null_row ? nullptr : d[r].data();
+            ms[r] = got[r].data();
+            if (null_row) continue;
+            for (std::int64_t j = 0; j < nj; ++j) {
+              float acc = want[r][j];
+              for (std::int64_t k = 0; k < kc; ++k)
+                acc = std::fmaf(d[r][k], g_rm[k * nj + j], acc);
+              want[r][j] = acc;
+            }
+          }
+          // The blocked entry, then the single-row entry on a copy of row 0.
+          std::vector<float> single = rand_buf(static_cast<std::size_t>(nj),
+                                               seed + 30);
+          table.axpy_rank1_multi(ds.data(), g.data(), ms.data(), rows, kc, nj);
+          table.axpy_rank1(d[0].data(), g.data(), single.data(), kc, nj);
+          for (int r = 0; r < rows; ++r) {
+            SCOPED_TRACE(::testing::Message() << "oc " << nj << " ic " << kc
+                                              << " rows " << rows << " r "
+                                              << r);
+            if (fused || ds[r] == nullptr) {
+              ASSERT_EQ(std::memcmp(got[r].data(), want[r].data(),
+                                    got[r].size() * sizeof(float)),
+                        0);
+            } else {
+              for (std::int64_t j = 0; j < nj; ++j) {
+                double terms = 0.0;
+                for (std::int64_t k = 0; k < kc; ++k)
+                  terms += std::abs(static_cast<double>(d[r][k]) *
+                                    g_rm[k * nj + j]);
+                expect_ulp_close(got[r][j], want[r][j], terms,
+                                 static_cast<int>(kc));
+              }
+            }
+          }
+          if (fused) {
+            ASSERT_EQ(std::memcmp(single.data(), want[0].data(),
+                                  single.size() * sizeof(float)),
+                      0);
+          } else {
+            for (std::int64_t j = 0; j < nj; ++j)
+              EXPECT_EQ(single[j], got[0][j]);  // multi == per-row, scalar
+          }
+        }
+      }
+    }
+  }
+}
+
+// transform_filter_host writes each (fh, t) plane through ghat_index: the
+// index is a bijection onto the plane, and unpacking it gives back the
+// row-major ĝ[fh][t][ic][oc] the G transform defines — here the scalar
+// table's transform_cols over the filter's (oc, fh) taps, bitwise equal to
+// every table's by the transform_cols contract.
+TEST(HostKernels, TransformFilterHostUnpacksToRowMajor) {
+  const HostKernels& ref = detail::host_kernels_scalar();
+  for (std::int64_t oc : {1, 7, 8, 9, 17, 40}) {
+    for (std::int64_t ic : {1, 3, 16}) {
+      ConvShape s;
+      s.n = 1;
+      s.ih = s.iw = 8;
+      s.ic = ic;
+      s.oc = oc;
+      s.fh = s.fw = 3;
+      s.ph = s.pw = 1;
+      s.validate();
+      const GammaConfig cfg = GammaConfig::make(8, 6, 3);
+      const WinogradPlan& plan = get_plan(cfg.n, cfg.r);
+      Rng rng(static_cast<unsigned>(8000 + oc * 16 + ic));
+      TensorF w({s.oc, s.fh, s.fw, s.ic});
+      w.fill_uniform(rng, -1.0f, 1.0f);
+      const TensorF ghat = transform_filter_host(w, s, cfg);
+      ASSERT_EQ(ghat.size(), s.fh * cfg.alpha * ic * oc);
+      const std::int64_t plane = ic * oc;
+
+      std::vector<int> hits(static_cast<std::size_t>(plane), 0);
+      for (std::int64_t k = 0; k < ic; ++k) {
+        for (std::int64_t j = 0; j < oc; ++j) {
+          const std::int64_t at = ghat_index(k, j, ic, oc);
+          ASSERT_GE(at, 0);
+          ASSERT_LT(at, plane);
+          ++hits[static_cast<std::size_t>(at)];
+        }
+      }
+      for (int h : hits) ASSERT_EQ(h, 1);
+
+      std::vector<float> gt(static_cast<std::size_t>(cfg.alpha * ic));
+      for (std::int64_t fh = 0; fh < s.fh; ++fh) {
+        for (std::int64_t o = 0; o < oc; ++o) {
+          const float* taps[3] = {&w.at(o, fh, 0, 0), &w.at(o, fh, 1, 0),
+                                  &w.at(o, fh, 2, 0)};
+          ref.transform_cols(plan.g_f.data(), cfg.alpha, 3, taps, ic,
+                             gt.data(), ic);
+          for (int t = 0; t < cfg.alpha; ++t) {
+            const float* pl = ghat.data() + (fh * cfg.alpha + t) * plane;
+            for (std::int64_t k = 0; k < ic; ++k) {
+              const float want = gt[static_cast<std::size_t>(t * ic + k)];
+              const float got = pl[ghat_index(k, o, ic, oc)];
+              ASSERT_EQ(std::memcmp(&got, &want, sizeof(float)), 0)
+                  << "fh " << fh << " t " << t << " ic " << k << " oc " << o;
+            }
+          }
         }
       }
     }

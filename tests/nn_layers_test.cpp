@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <functional>
+#include <limits>
 
 #include "common/rng.hpp"
 #include "nn/layers.hpp"
@@ -232,6 +234,228 @@ TEST(NnLayers, BatchNormEvalUsesRunningStats) {
   for (std::int64_t i = 0; i < y.size(); ++i) mean += y[i];
   mean /= static_cast<double>(y.size());
   EXPECT_NEAR(mean, 0.0, 0.05);
+}
+
+// ---------------------------------------------------------------------------
+// Bitwise parity of the branchless, channel-inner elementwise layers with
+// the branching, channel-outer loops they replaced (kept here as oracles).
+
+namespace oracle {
+
+TensorF leaky_forward(const TensorF& x, float slope, bool train,
+                      std::vector<std::uint8_t>& mask) {
+  TensorF y = x;
+  if (train) mask.assign(static_cast<std::size_t>(x.size()), 0);
+  for (std::int64_t i = 0; i < y.size(); ++i) {
+    if (y[i] < 0.0f) {
+      y[i] *= slope;
+    } else if (train) {
+      mask[static_cast<std::size_t>(i)] = 1;
+    }
+  }
+  return y;
+}
+
+TensorF leaky_backward(const TensorF& dy, float slope,
+                       const std::vector<std::uint8_t>& mask) {
+  TensorF dx = dy;
+  for (std::int64_t i = 0; i < dx.size(); ++i) {
+    if (!mask[static_cast<std::size_t>(i)]) dx[i] *= slope;
+  }
+  return dx;
+}
+
+struct BatchNorm {
+  std::int64_t channels;
+  float momentum = 0.9f, eps = 1e-5f;
+  std::vector<float> gamma, beta, running_mean, running_var, inv_std;
+  std::vector<float> dgamma, dbeta;
+  TensorF xhat;
+  std::int64_t count = 0;
+
+  explicit BatchNorm(std::int64_t c)
+      : channels(c),
+        gamma(c, 1.0f),
+        beta(c, 0.0f),
+        running_mean(c, 0.0f),
+        running_var(c, 1.0f),
+        inv_std(c),
+        dgamma(c, 0.0f),
+        dbeta(c, 0.0f) {}
+
+  TensorF forward_train(const TensorF& x) {
+    const std::int64_t m = x.size() / channels;
+    TensorF y({x.dim(0), x.dim(1), x.dim(2), x.dim(3)});
+    xhat.reset({x.dim(0), x.dim(1), x.dim(2), x.dim(3)});
+    count = m;
+    for (std::int64_t c = 0; c < channels; ++c) {
+      double mean = 0.0;
+      for (std::int64_t i = 0; i < m; ++i) mean += x[i * channels + c];
+      mean /= static_cast<double>(m);
+      double var = 0.0;
+      for (std::int64_t i = 0; i < m; ++i) {
+        const double d = x[i * channels + c] - mean;
+        var += d * d;
+      }
+      var /= static_cast<double>(m);
+      const float inv = 1.0f / std::sqrt(static_cast<float>(var) + eps);
+      inv_std[c] = inv;
+      running_mean[c] = momentum * running_mean[c] +
+                        (1.0f - momentum) * static_cast<float>(mean);
+      running_var[c] = momentum * running_var[c] +
+                       (1.0f - momentum) * static_cast<float>(var);
+      for (std::int64_t i = 0; i < m; ++i) {
+        const float xh = (x[i * channels + c] - static_cast<float>(mean)) * inv;
+        xhat[i * channels + c] = xh;
+        y[i * channels + c] = gamma[c] * xh + beta[c];
+      }
+    }
+    return y;
+  }
+
+  TensorF infer(const TensorF& x) const {
+    const std::int64_t m = x.size() / channels;
+    TensorF y({x.dim(0), x.dim(1), x.dim(2), x.dim(3)});
+    for (std::int64_t c = 0; c < channels; ++c) {
+      const float inv = 1.0f / std::sqrt(running_var[c] + eps);
+      for (std::int64_t i = 0; i < m; ++i) {
+        y[i * channels + c] =
+            gamma[c] * (x[i * channels + c] - running_mean[c]) * inv + beta[c];
+      }
+    }
+    return y;
+  }
+
+  TensorF backward(const TensorF& dy) {
+    const std::int64_t m = count;
+    TensorF dx({dy.dim(0), dy.dim(1), dy.dim(2), dy.dim(3)});
+    for (std::int64_t c = 0; c < channels; ++c) {
+      double sum_dy = 0.0;
+      double sum_dy_xhat = 0.0;
+      for (std::int64_t i = 0; i < m; ++i) {
+        const float g = dy[i * channels + c];
+        sum_dy += g;
+        sum_dy_xhat += g * xhat[i * channels + c];
+      }
+      dgamma[c] += static_cast<float>(sum_dy_xhat);
+      dbeta[c] += static_cast<float>(sum_dy);
+      const float inv = inv_std[c];
+      const float k1 = static_cast<float>(sum_dy / static_cast<double>(m));
+      const float k2 =
+          static_cast<float>(sum_dy_xhat / static_cast<double>(m));
+      for (std::int64_t i = 0; i < m; ++i) {
+        const float g = dy[i * channels + c];
+        dx[i * channels + c] =
+            gamma[c] * inv * (g - k1 - xhat[i * channels + c] * k2);
+      }
+    }
+    return dx;
+  }
+};
+
+}  // namespace oracle
+
+/// Random values with IEEE special cases sprinkled in: ±0 and subnormals in
+/// every channel; ±inf and NaN only in channels below `inf_channels` (a
+/// BatchNorm channel holding one turns wholly NaN, so the rest stay finite
+/// to keep real arithmetic under test).
+TensorF special_input(std::initializer_list<std::int64_t> dims,
+                      unsigned seed, std::int64_t inf_channels) {
+  const float finite[] = {0.0f,
+                          -0.0f,
+                          std::numeric_limits<float>::denorm_min(),
+                          -std::numeric_limits<float>::denorm_min(),
+                          1e-40f,
+                          -3e-39f};
+  const float nonfinite[] = {std::numeric_limits<float>::infinity(),
+                             -std::numeric_limits<float>::infinity(),
+                             std::numeric_limits<float>::quiet_NaN()};
+  TensorF x = rand_input(dims, seed);
+  const std::int64_t c = x.dim(x.rank() - 1);
+  for (std::int64_t i = 0; i < x.size(); i += 5) {
+    const std::int64_t k = i / 5;
+    if (i % c < inf_channels && k % 4 == 3) {
+      x[i] = nonfinite[static_cast<std::size_t>(k / 4) % 3];
+    } else {
+      x[i] = finite[static_cast<std::size_t>(k) % 6];
+    }
+  }
+  return x;
+}
+
+/// Bit-identical, except that any NaN matches any NaN: IEEE 754 leaves
+/// which payload an operation on two NaNs returns to the implementation, so
+/// a vectorizer that commutes an add may pick the other one.
+void expect_same_bits(const TensorF& got, const TensorF& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::int64_t i = 0; i < got.size(); ++i) {
+    if (std::isnan(got[i]) && std::isnan(want[i])) continue;
+    ASSERT_EQ(std::memcmp(&got[i], &want[i], sizeof(float)), 0)
+        << "element " << i << ": " << got[i] << " vs " << want[i];
+  }
+}
+
+TEST(NnLayers, LeakyReLUBitwiseEqualsBranchingLoops) {
+  for (float slope : {0.0f, 0.01f}) {
+    SCOPED_TRACE(slope);
+    const TensorF x = special_input({2, 5, 5, 7}, 41, 7);
+    const TensorF dy = special_input({2, 5, 5, 7}, 42, 7);
+    LeakyReLU relu(slope);
+    std::vector<std::uint8_t> mask;
+    const TensorF want_y = oracle::leaky_forward(x, slope, true, mask);
+    // NaN passes through both forms untouched, so memcmp holds even there.
+    const TensorF y = relu.forward(x, true);
+    ASSERT_EQ(std::memcmp(y.data(), want_y.data(), y.size() * sizeof(float)),
+              0);
+    const TensorF dx = relu.backward(dy);
+    const TensorF want_dx = oracle::leaky_backward(dy, slope, mask);
+    ASSERT_EQ(
+        std::memcmp(dx.data(), want_dx.data(), dx.size() * sizeof(float)), 0);
+    const TensorF yi = relu.infer(x);
+    ASSERT_EQ(std::memcmp(yi.data(), want_y.data(), yi.size() * sizeof(float)),
+              0);
+    const TensorF ye = relu.forward(x, false);
+    ASSERT_EQ(std::memcmp(ye.data(), want_y.data(), ye.size() * sizeof(float)),
+              0);
+  }
+}
+
+TEST(NnLayers, LeakyReLURejectsSlopeOutsideUnitInterval) {
+  EXPECT_THROW(LeakyReLU(-0.01f), Error);
+  EXPECT_THROW(LeakyReLU(1.5f), Error);
+  EXPECT_NO_THROW(LeakyReLU(1.0f));
+}
+
+TEST(NnLayers, BatchNormBitwiseEqualsChannelOuterLoops) {
+  constexpr std::int64_t kC = 13;  // odd: vector bodies plus scalar tails
+  BatchNorm2D bn(kC);
+  oracle::BatchNorm want(kC);
+  Rng rng(43);
+  std::vector<Param*> params = bn.params();  // {gamma, beta}
+  for (std::int64_t c = 0; c < kC; ++c) {
+    want.gamma[c] = params[0]->value[c] = rng.uniform(0.5f, 1.5f);
+    want.beta[c] = params[1]->value[c] = rng.uniform(-0.5f, 0.5f);
+  }
+  // Two training steps move the running statistics off their initial
+  // values; the special values keep ±inf and NaN in channels 0 and 1.
+  for (int step = 0; step < 2; ++step) {
+    SCOPED_TRACE(step);
+    const TensorF x = special_input({2, 4, 3, kC}, 50u + step, 2);
+    const TensorF dy = special_input({2, 4, 3, kC}, 60u + step, 2);
+    expect_same_bits(bn.forward(x, true), want.forward_train(x));
+    expect_same_bits(bn.backward(dy), want.backward(dy));
+    TensorF dgamma({kC}), dbeta({kC});
+    for (std::int64_t c = 0; c < kC; ++c) {
+      dgamma[c] = want.dgamma[c];
+      dbeta[c] = want.dbeta[c];
+    }
+    expect_same_bits(params[0]->grad, dgamma);
+    expect_same_bits(params[1]->grad, dbeta);
+  }
+  // Inference over finite running statistics (channels 2..12) and NaN ones.
+  const TensorF x = special_input({3, 2, 5, kC}, 70, 2);
+  expect_same_bits(bn.infer(x), want.infer(x));
+  expect_same_bits(bn.forward(x, false), want.infer(x));
 }
 
 TEST(NnLayers, KaimingUniformBounds) {
